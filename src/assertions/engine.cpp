@@ -136,12 +136,8 @@ AssertionEngine::onGcStart(uint64_t gc_number)
     reportedThisGc_.clear();
     types_.resetInstanceCounts();
     // Clear per-GC ownership scan state.
-    ownership_.forEachOwner(
-        [](Object *owner, const std::vector<Object *> &ownees) {
-            owner->clearFlag(kOwnerScanBit);
-            for (Object *ownee : ownees)
-                ownee->clearFlag(kOwnedBit);
-        });
+    for (Object *ownee : ownership_.ownees())
+        ownee->clearFlag(kOwnedBit);
 }
 
 void

@@ -226,7 +226,7 @@ class AssertionEngine {
     /** @} */
 
     /** All violations reported so far (across collections). */
-    const std::vector<Violation> &violations() const
+    const ViolationLog &violations() const
     {
         return violations_;
     }
@@ -296,7 +296,7 @@ class AssertionEngine {
     OwnershipTable ownership_;
     AssertionStats stats_;
 
-    std::vector<Violation> violations_;
+    ViolationLog violations_;
     std::unordered_set<const Object *> reportedThisGc_;
     /** Flushed-object -> region label for labeled regions. Every
      *  entry is settled (reported or swept) by the end of the next

@@ -13,6 +13,7 @@
 #define GCASSERT_ASSERTIONS_VIOLATION_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,14 @@ struct Violation {
      */
     std::string toJson() const;
 };
+
+/**
+ * The engine's record of every violation reported. A deque, so the
+ * record grows in small chunks: no doubling step in memory and no
+ * copy of the whole record when it grows, and references to earlier
+ * entries stay valid.
+ */
+using ViolationLog = std::deque<Violation>;
 
 } // namespace gcassert
 

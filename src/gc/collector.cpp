@@ -117,8 +117,11 @@ Collector::resurrectFinalizables()
     std::sort(dying.begin(), dying.end());
     for (auto &[seq, obj] : dying) {
         markObject<kInfra>(obj);
-        worklist_.push(obj);
-        p2Drain<kInfra, kPath>();
+        // An owner's subtree was traced by the ownership phase.
+        if (!kInfra || !obj->testFlag(kOwnerBit)) {
+            worklist_.push(obj);
+            p2Drain<kInfra, kPath>();
+        }
         auto it = finalizables_.find(obj);
         pendingFinalizers_.emplace_back(obj, std::move(it->second.fn));
         finalizables_.erase(it);
@@ -222,12 +225,10 @@ Collector::minorCollect()
     // to; their lifetime verdicts are the full GC's alone.
     for (auto &entry : finalizables_)
         mnVisit(entry.first);
-    engine_.ownership().forEachOwner(
-        [this](Object *owner, const std::vector<Object *> &ownees) {
-            mnVisit(owner);
-            for (Object *ownee : ownees)
-                mnVisit(ownee);
-        });
+    for (Object *owner : engine_.ownership().owners())
+        mnVisit(owner);
+    for (Object *ownee : engine_.ownership().ownees())
+        mnVisit(ownee);
     for (Object *obj : engine_.dirtyUnsharedTargets())
         mnVisit(obj);
 
@@ -849,6 +850,11 @@ Collector::p2Visit(Object **slot, Object *obj)
         return;
     }
     markObject<kInfra>(obj);
+    // The ownership phase already visited every slot of an owner and
+    // ran every check on those edges; scanning the owner again would
+    // count each edge as a second incoming reference.
+    if (kInfra && (flags & kOwnerBit) != 0) [[unlikely]]
+        return;
     worklist_.push(obj);
 }
 
@@ -923,14 +929,6 @@ Collector::ownershipPhase()
     std::vector<std::pair<Object *, Object *>> queue;
 
     inOwnershipScan_ = true;
-    auto scan_owner = [&](Object *owner) {
-        scanKind_ = "owner";
-        scanAnchor_ = owner;
-        currentOwnerTag_ = engine_.ownership().ownerTagOf(owner);
-        // The owner itself is deliberately not marked: its own
-        // liveness is decided by the root scan.
-        ownerScan<kPath>(owner, owner, queue, false);
-    };
     // Owners are scanned in registration order, dirty or not. Scan
     // order is OBSERVABLE here: a region scan truncates at objects an
     // earlier scan already marked, so which scan first encounters an
@@ -939,14 +937,22 @@ Collector::ownershipPhase()
     // each scan (dirty owners are the re-checks most likely to yield
     // a changed verdict; the stats expose how many each pause ran),
     // keeping generational runs verdict-identical by construction.
-    engine_.ownership().forEachOwner(
-        [&](Object *owner, const std::vector<Object *> &) {
-            if (owner->testFlag(kWriteDirtyBit))
-                ++stats_.dirtyOwnerScans;
-            else
-                ++stats_.cleanOwnerScans;
-            scan_owner(owner);
-        });
+    // An owner's tag is its position in the table: no lookup.
+    const std::vector<Object *> &owners = engine_.ownership().owners();
+    for (size_t i = 0; i < owners.size(); ++i) {
+        Object *owner = owners[i];
+        if (owner->testFlag(kWriteDirtyBit))
+            ++stats_.dirtyOwnerScans;
+        else
+            ++stats_.cleanOwnerScans;
+        scanKind_ = "owner";
+        scanAnchor_ = owner;
+        currentOwnerTag_ = static_cast<uint32_t>(i) + 1;
+        // The owner itself is deliberately not marked: its own
+        // liveness is decided by the root scan, which does not
+        // rescan its slots (see p2Visit).
+        ownerScan<kPath>(owner, owner, queue, false);
+    }
 
     // Scan the subtrees under queued ownees; the queue may grow as
     // nested ownees are found. Objects reached here are live, but
@@ -1328,6 +1334,9 @@ Collector::parVisit(Object **slot, Object *obj, MarkWorker &w)
             ++w.censusCounts[type];
             w.censusBytes[type] += obj->sizeBytes();
         }
+        // Owners' slots belong to the ownership phase (see p2Visit).
+        if (kInfra && (flags & kOwnerBit) != 0) [[unlikely]]
+            return;
         pendingWork_.fetch_add(1, std::memory_order_seq_cst);
         w.deque.push(obj);
     } else if (kInfra && (flags & kUnsharedBit) != 0) [[unlikely]] {

@@ -51,8 +51,7 @@ enum ObjectFlag : uint32_t {
     kOwnerBit = 1u << 4,
     /** Per-GC: reached from its owner during the ownership phase. */
     kOwnedBit = 1u << 5,
-    /** Per-GC: already visited by the ownership phase scan. */
-    kOwnerScanBit = 1u << 6,
+    // Bit 6 is unused; the owner tag starts at kOwnerTagShift.
     /**
      * The object was allocated inside an active allocation region
      * (assert-alldead bracketing) and sits on a region queue.

@@ -29,13 +29,14 @@ Handle::operator=(const Handle &other)
     return *this;
 }
 
+// The moves root the object here before dropping other's root: every
+// runtime call is a GC point for other mutators, so an object left
+// unrooted even between two calls can be freed under the handle.
 Handle::Handle(Handle &&other) noexcept : runtime_(other.runtime_)
 {
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
 }
 
@@ -47,10 +48,8 @@ Handle::operator=(Handle &&other) noexcept
     reset();
     runtime_ = other.runtime_;
     if (runtime_) {
-        Object *obj = other.node_.get();
-        const char *name = other.node_.name();
+        runtime_->addRoot(node_, other.node_.get(), other.node_.name());
         other.reset();
-        runtime_->addRoot(node_, obj, name);
     }
     return *this;
 }

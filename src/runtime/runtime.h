@@ -277,7 +277,7 @@ class Runtime {
     /** @} */
 
     /** Violations reported so far. */
-    const std::vector<Violation> &violations() const
+    const ViolationLog &violations() const
     {
         return engine_.violations();
     }

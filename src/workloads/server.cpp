@@ -200,8 +200,14 @@ ServerWorkload::cachePushFront(Runtime &runtime, Object *entry)
 void
 ServerWorkload::cacheUnlink(Runtime &runtime, Object *entry)
 {
+    // Every writeRef is a GC point for the other mutators, so the
+    // entry's own links are cleared first, while its neighbours still
+    // reach it; once they are rewired it is never touched again here.
+    // (prev stays reachable from the head, next from the tail.)
     Object *prev = entry->ref(entryPrevSlot_);
     Object *next = entry->ref(entryNextSlot_);
+    runtime.writeRef(entry, entryPrevSlot_, nullptr);
+    runtime.writeRef(entry, entryNextSlot_, nullptr);
     if (prev)
         runtime.writeRef(prev, entryNextSlot_, next);
     else
@@ -210,8 +216,6 @@ ServerWorkload::cacheUnlink(Runtime &runtime, Object *entry)
         runtime.writeRef(next, entryPrevSlot_, prev);
     else
         runtime.writeRef(cache_.get(), cacheTailSlot_, prev);
-    runtime.writeRef(entry, entryPrevSlot_, nullptr);
-    runtime.writeRef(entry, entryNextSlot_, nullptr);
 }
 
 void
@@ -222,7 +226,10 @@ ServerWorkload::cacheLookupOrInsert(Runtime &runtime,
     // Caller holds shared_.
     auto it = cacheIndex_.find(key);
     if (it != cacheIndex_.end()) {
-        Object *entry = it->second;
+        // cacheIndex_ is not a GC root: pin the entry while it is
+        // off the list between the unlink and the re-link.
+        Handle pin(runtime, it->second, "srv.cache.pin");
+        Object *entry = pin.get();
         entry->setScalar<uint64_t>(8, entry->scalar<uint64_t>(8) + 1);
         cacheUnlink(runtime, entry);
         cachePushFront(runtime, entry);
@@ -243,9 +250,11 @@ ServerWorkload::cacheLookupOrInsert(Runtime &runtime,
     ++cacheSize_;
 
     if (cacheSize_ > options_.cacheCapacity) {
+        // The victim is garbage once unlinked: read its key first.
         Object *victim = cache_->ref(cacheTailSlot_);
+        uint64_t victim_key = victim->scalar<uint64_t>(0);
         cacheUnlink(runtime, victim);
-        cacheIndex_.erase(victim->scalar<uint64_t>(0));
+        cacheIndex_.erase(victim_key);
         --cacheSize_;
     }
 }

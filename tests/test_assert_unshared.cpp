@@ -162,5 +162,83 @@ TEST_F(AssertUnsharedTest, SharedThenUnsharedAgainStillSatisfiedLater)
     EXPECT_EQ(violations().size(), 1u) << "no new report after repair";
 }
 
+/**
+ * An owner's reference slots are visited once, by the ownership
+ * phase. The root scan that later reaches the (unmarked) owner must
+ * not visit them again, or every object the owner references
+ * directly would seem to have a second incoming reference. Run with
+ * the sequential and the parallel marker.
+ */
+class UnsharedUnderOwnerTest : public RuntimeTest,
+                               public ::testing::WithParamInterface<uint32_t> {
+  protected:
+    UnsharedUnderOwnerTest() : RuntimeTest(configFor(GetParam())) {}
+
+    static RuntimeConfig
+    configFor(uint32_t mark_threads)
+    {
+        RuntimeConfig config = defaultConfig();
+        config.recordPaths = false;
+        config.markThreads = mark_threads;
+        return config;
+    }
+
+    /** Rooted owner -> {leaf0 (its ownee), leaf1}. */
+    void
+    SetUp() override
+    {
+        owner_ = rootedNode(0, "owner");
+        leaf0_ = node(1);
+        leaf1_ = node(2);
+        owner_->setRef(0, leaf0_);
+        owner_->setRef(1, leaf1_);
+        runtime_->assertOwnedBy(owner_.get(), leaf0_);
+    }
+
+    Handle owner_;
+    Object *leaf0_ = nullptr;
+    Object *leaf1_ = nullptr;
+};
+
+TEST_P(UnsharedUnderOwnerTest, OwneeAssertedUnsharedIsSatisfied)
+{
+    runtime_->assertUnshared(leaf0_);
+    runtime_->collect();
+    runtime_->collect();
+    EXPECT_TRUE(violations().empty());
+}
+
+TEST_P(UnsharedUnderOwnerTest, OwnerChildAssertedUnsharedIsSatisfied)
+{
+    runtime_->assertUnshared(leaf1_);
+    runtime_->collect();
+    runtime_->collect();
+    EXPECT_TRUE(violations().empty());
+}
+
+TEST_P(UnsharedUnderOwnerTest, SecondReferenceFromRootIsReported)
+{
+    Handle extra(*runtime_, leaf1_, "extra");
+    runtime_->assertUnshared(leaf1_);
+    runtime_->collect();
+    ASSERT_EQ(violations().size(), 1u);
+    EXPECT_EQ(violations()[0].kind, AssertionKind::Unshared);
+    EXPECT_EQ(violations()[0].offendingAddress, leaf1_);
+}
+
+TEST_P(UnsharedUnderOwnerTest, ResurrectedOwnerIsNotRescanned)
+{
+    // An unreachable owner is still traced by the ownership phase;
+    // reviving it for its finalizer must not trace it again.
+    runtime_->assertUnshared(leaf1_);
+    runtime_->setFinalizer(owner_.get(), [](Object *) {});
+    owner_.reset();
+    runtime_->collect();
+    EXPECT_TRUE(violationsOf(AssertionKind::Unshared).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(MarkThreads, UnsharedUnderOwnerTest,
+                         ::testing::Values(1u, 4u));
+
 } // namespace
 } // namespace gcassert

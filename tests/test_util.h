@@ -90,7 +90,7 @@ class RuntimeTest : public ::testing::Test {
     }
 
     /** Violations recorded so far. */
-    const std::vector<Violation> &
+    const ViolationLog &
     violations()
     {
         return runtime_->violations();

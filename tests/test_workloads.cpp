@@ -124,7 +124,7 @@ TEST(WorkloadRegistry, ListsAllWorkloads)
 
 /** Run jbbemu with explicit options and return the runtime's
  *  violations. */
-std::vector<Violation>
+ViolationLog
 runJbb(const JbbOptions &options, uint32_t iterations = 3)
 {
     CaptureLogSink capture;
