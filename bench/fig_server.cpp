@@ -4,7 +4,7 @@
  * for the heavy-traffic request/response simulation, armed (one
  * assert-alldead region per request) vs disarmed, across mutator
  * thread counts and collector configurations (plain, generational,
- * incremental recheck, parallel mark/sweep, all-on).
+ * parallel mark/sweep, all-on).
  *
  * Not a figure from the paper — the paper's workloads are single-
  * threaded — but the natural scaling successor to the jbbemu
@@ -60,7 +60,6 @@ const ConfigPoint kConfigs[] = {
          c.generational = true;
          c.nurseryKb = 256;
      }},
-    {"incremental", [](RuntimeConfig &c) { c.incrementalAssert = true; }},
     {"parallel",
      [](RuntimeConfig &c) {
          c.markThreads = 4;
@@ -71,7 +70,6 @@ const ConfigPoint kConfigs[] = {
      [](RuntimeConfig &c) {
          c.generational = true;
          c.nurseryKb = 256;
-         c.incrementalAssert = true;
          c.markThreads = 4;
          c.sweepThreads = 2;
          c.recordPaths = false;

@@ -23,14 +23,6 @@ AssertionStats::toString() const
     line("violations reported:", violationsReported);
     line("dead asserts satisfied:", deadAssertsSatisfied);
     line("ownee asserts satisfied:", owneeAssertsSatisfied);
-    if (dirtyOwnersAtGc > 0 || dirtyUnsharedAtGc > 0) {
-        line("dirty owners consumed:", dirtyOwnersAtGc);
-        line("dirty unshared consumed:", dirtyUnsharedAtGc);
-    }
-    if (cacheHits > 0 || cacheInvalidations > 0) {
-        line("region cache hits:", cacheHits);
-        line("region cache invalidations:", cacheInvalidations);
-    }
     return out;
 }
 

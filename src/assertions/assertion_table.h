@@ -39,28 +39,6 @@ struct AssertionStats {
     /** Ownee assertions satisfied (ownee died before its owner). */
     uint64_t owneeAssertsSatisfied = 0;
 
-    /** @name Barrier-fed incremental re-checking
-     *  @{ */
-
-    /** Mutated owners consumed from the dirty set at full GCs. */
-    uint64_t dirtyOwnersAtGc = 0;
-
-    /** Newly referenced assert-unshared objects consumed at full GCs. */
-    uint64_t dirtyUnsharedAtGc = 0;
-
-    /** @} */
-
-    /** @name Property-cached incremental rechecks
-     *  @{ */
-
-    /** Clean regions whose cached summary was merged as-is. */
-    uint64_t cacheHits = 0;
-
-    /** Dirty regions re-snapshotted at full GCs. */
-    uint64_t cacheInvalidations = 0;
-
-    /** @} */
-
     /** Multi-line human-readable dump. */
     std::string toString() const;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "assertions/incremental.h"
 #include "observe/assert_cost.h"
 #include "support/logging.h"
 #include "support/strutil.h"
@@ -89,8 +88,6 @@ void
 AssertionEngine::assertInstances(TypeId type, uint64_t limit)
 {
     types_.trackInstances(type, limit);
-    if (incremental_)
-        incremental_->onTypeTracked(type);
     ++stats_.assertInstancesCalls;
 }
 
@@ -98,8 +95,6 @@ void
 AssertionEngine::assertVolume(TypeId type, uint64_t bytes)
 {
     types_.trackVolume(type, bytes);
-    if (incremental_)
-        incremental_->onTypeTracked(type);
     ++stats_.assertVolumeCalls;
 }
 
@@ -108,24 +103,14 @@ AssertionEngine::assertUnshared(Object *obj)
 {
     if (!obj)
         fatal("assert-unshared called on null");
-    // Region bookkeeping counts objects whose kUnsharedBit is set, so
-    // only a first-time assertion bumps the tally.
-    bool newly_tracked = !obj->testFlag(kUnsharedBit);
     obj->setFlag(kUnsharedBit);
-    if (incremental_ && newly_tracked)
-        incremental_->noteUnsharedAsserted(obj);
     ++stats_.assertUnsharedCalls;
 }
 
 void
 AssertionEngine::assertOwnedBy(Object *owner, Object *ownee)
 {
-    // Same first-time gate as assert-unshared: duplicate pairs are
-    // ignored by the table, and the region tally mirrors kOwneeBit.
-    bool newly_tracked = ownee && !ownee->testFlag(kOwneeBit);
     ownership_.addPair(owner, ownee);
-    if (incremental_ && newly_tracked)
-        incremental_->noteOwneePair(owner, ownee);
     ++stats_.assertOwnedByCalls;
 }
 
@@ -181,13 +166,8 @@ AssertionEngine::checkTrackedTypeLimits()
 void
 AssertionEngine::onTraceDone(AssertCostTallies *cost)
 {
-    // Instance- and volume-limit checks (paper: "at the end of GC,
-    // we iterate through our list of tracked types"). In incremental
-    // mode the tallies are not ready until the sweep has run the free
-    // hooks, so the identical loop runs from onPostSweep instead —
-    // nothing reports violations in between, so the per-GC violation
-    // stream is unchanged.
-    if (!incremental_) {
+    // Instance- and volume-limit checks over the mark phase's tallies.
+    {
         CostScope scope(cost, AssertCostKind::Instances);
         checkTrackedTypeLimits();
     }
@@ -221,62 +201,12 @@ AssertionEngine::onTraceDone(AssertCostTallies *cost)
                 ownee->setFlag(kOrphanBit);
             }
         }
-
-        // Consume the owner half of the barrier-fed dirty sets: this
-        // trace has re-checked everything they pointed at, so the
-        // latches reset and the next mutator window starts clean.
-        // Entries are still valid here — the sweep has not run, and
-        // the minor GC pins dirty objects.
-        stats_.dirtyOwnersAtGc += dirtyOwners_.size();
-        for (Object *owner : dirtyOwners_)
-            owner->clearFlagsAtomic(kWriteDirtyBit);
-        dirtyOwners_.clear();
     }
-
-    // And the unshared half, under its own attribution bucket.
-    {
-        CostScope scope(cost, AssertCostKind::Unshared);
-        stats_.dirtyUnsharedAtGc += dirtyUnshared_.size();
-        for (Object *obj : dirtyUnshared_)
-            obj->clearFlagsAtomic(kWriteDirtyBit);
-        dirtyUnshared_.clear();
-    }
-}
-
-void
-AssertionEngine::onPostSweep(AssertCostTallies *cost)
-{
-    if (!incremental_)
-        return;
-    CostScope scope(cost, AssertCostKind::Instances);
-    IncrementalAssertCache::RecheckStats merged =
-        incremental_->mergeAndSync();
-    stats_.cacheHits += merged.hits;
-    stats_.cacheInvalidations += merged.invalidations;
-    checkTrackedTypeLimits();
-}
-
-void
-AssertionEngine::noteOwnerMutated(Object *owner)
-{
-    dirtyOwners_.push_back(owner);
-    if (incremental_)
-        incremental_->noteMutated(owner);
-}
-
-void
-AssertionEngine::noteUnsharedTargetMutated(Object *obj)
-{
-    dirtyUnshared_.push_back(obj);
-    if (incremental_)
-        incremental_->noteMutated(obj);
 }
 
 void
 AssertionEngine::onObjectFreed(Object *obj)
 {
-    if (incremental_)
-        incremental_->noteFreed(obj);
     if (obj->testFlag(kOrphanBit))
         ++stats_.owneeAssertsSatisfied;
     else if (obj->testFlag(kDeadBit))

@@ -28,7 +28,6 @@
 namespace gcassert {
 
 struct AssertCostTallies;
-class IncrementalAssertCache;
 
 /** Behavioural switches for the engine. */
 struct EngineOptions {
@@ -127,59 +126,8 @@ class AssertionEngine {
      */
     void onTraceDone(AssertCostTallies *cost = nullptr);
 
-    /**
-     * Post-sweep finish work, incremental mode only: merge the
-     * region-summary cache (re-snapshotting just the dirty regions),
-     * sync the per-type tallies the skipped mark-phase checks left at
-     * zero, and run exactly the instance/volume verdict loop that
-     * onTraceDone runs non-incrementally. Runs after the sweep so the
-     * alloc/free-maintained tallies equal the marked set — the same
-     * quantity the mark loop would have counted — and before the
-     * collector's per-GC violation accounting, so per-collection
-     * violation counts are unchanged. No-op without a cache.
-     */
-    void onPostSweep(AssertCostTallies *cost = nullptr);
-
     /** Sweep hook: account for satisfied lifetime assertions. */
     void onObjectFreed(Object *obj);
-
-    /**
-     * Write-barrier hook: @p owner (an assert-ownedby owner) had a
-     * reference slot written since the last collection. The next full
-     * trace's ownership phase scans dirty owners first, so the
-     * re-checks most likely to have changed verdicts run at the start
-     * of the pause instead of wherever registration order put them.
-     * Ownedness is independent of owner scan order (the truncation
-     * queue of section 2.5.2 runs after *all* owner regions), so the
-     * reordering affects scheduling only, never verdicts.
-     *
-     * The caller has already latched kWriteDirtyBit on @p owner, so
-     * each owner is enqueued at most once per GC cycle. Serialized by
-     * the barrier registry lock.
-     */
-    void noteOwnerMutated(Object *owner);
-
-    /**
-     * Write-barrier hook: a new reference was just stored to @p obj,
-     * an assert-unshared object. The dirty set bounds which unshared
-     * assertions could have gained a second incoming reference since
-     * the last collection (surfaced in the stats); the trace itself
-     * re-checks every unshared object it re-encounters regardless, so
-     * the verdict authority stays with the full GC.
-     */
-    void noteUnsharedTargetMutated(Object *obj);
-
-    /** Owners mutated since the last collection (barrier-fed). */
-    const std::vector<Object *> &dirtyOwners() const
-    {
-        return dirtyOwners_;
-    }
-
-    /** Unshared targets newly referenced since the last collection. */
-    const std::vector<Object *> &dirtyUnsharedTargets() const
-    {
-        return dirtyUnshared_;
-    }
 
     /**
      * Report a violation. Applies the reaction policy: logs via
@@ -243,20 +191,6 @@ class AssertionEngine {
     AssertionStats &stats() { return stats_; }
     const AssertionStats &stats() const { return stats_; }
 
-    /**
-     * Attach (or detach, with nullptr) the incremental recheck cache.
-     * While attached, the assertion entry points and free hooks keep
-     * its region summaries current, onTraceDone's instance/volume
-     * checks are deferred to onPostSweep, and the collector skips its
-     * mark-phase tallies.
-     */
-    void setIncremental(IncrementalAssertCache *cache)
-    {
-        incremental_ = cache;
-    }
-
-    IncrementalAssertCache *incremental() const { return incremental_; }
-
     const EngineOptions &options() const { return options_; }
 
     /** Type name helper for reports. */
@@ -281,10 +215,9 @@ class AssertionEngine {
 
   private:
     /**
-     * The instance/volume verdict loop, shared verbatim by
-     * onTraceDone (classic mode) and onPostSweep (incremental mode)
-     * so the two paths cannot drift apart in message text or report
-     * order.
+     * The instance/volume verdict loop over the tallies the mark
+     * phase counted (paper: "at the end of GC, we iterate through our
+     * list of tracked types").
      */
     void checkTrackedTypeLimits();
 
@@ -307,14 +240,6 @@ class AssertionEngine {
     /** Telemetry enrichment hook (see setViolationObserver). */
     std::function<void(Violation &)> violationObserver_;
 
-    /** @name Barrier-fed dirty sets (consumed by onTraceDone)
-     *  @{ */
-    std::vector<Object *> dirtyOwners_;
-    std::vector<Object *> dirtyUnshared_;
-    /** @} */
-
-    /** Incremental recheck cache (null = classic whole-heap checks). */
-    IncrementalAssertCache *incremental_ = nullptr;
 };
 
 } // namespace gcassert

@@ -82,8 +82,8 @@ struct WhyAliveReport {
 /**
  * The bounded backwards points-to graph. One instance per Runtime,
  * created only when RuntimeConfig::backgraph is set; wired as the
- * third consumer of the write-barrier slow path (beside the nursery
- * remembered set and the incremental-assert dirty cards), into the
+ * second consumer of the write-barrier slow path (beside the nursery
+ * remembered set), into the
  * allocation paths (site tags + node creation) and into both sweeps
  * (dead-edge pruning).
  *

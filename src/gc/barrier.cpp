@@ -3,7 +3,6 @@
 #include <mutex>
 #include <vector>
 
-#include "assertions/engine.h"
 #include "detectors/backgraph.h"
 #include "gc/remset.h"
 #include "heap/heap.h"
@@ -12,38 +11,21 @@ namespace gcassert {
 
 namespace {
 
-/** @name Barrier mode mask
- * One bit per slow-path consumer, latched into the context at
- * registration so the slow path makes a single dispatch decision per
- * recorded source instead of re-deriving each consumer's condition.
- * @{ */
-/** Record mature->nursery edges in the remembered set. */
-constexpr uint32_t kModeRemset = 1u << 0;
-/** Record every unlatched non-nursery source (incremental assert). */
-constexpr uint32_t kModeAllWrites = 1u << 1;
-/** Feed every reference mutation to the why-alive backgraph. */
-constexpr uint32_t kModeBackgraph = 1u << 2;
-/** @} */
-
 /**
  * One registered barrier-armed runtime. The registry is a flat
  * vector: processes embed a handful of runtimes at most, and the
- * latched consumers reach the slow path at most once per (object,
- * latch bit) per GC cycle, so a linear ownership probe is cheaper
- * than any indexing scheme would be to maintain. (The unlatched
- * backgraph feed pays the probe per mutation — an enabled-only
- * cost.)
+ * latched remembered-set feed reaches the slow path at most once per
+ * source per GC cycle, so a linear ownership probe is cheaper than
+ * any indexing scheme would be to maintain. (The unlatched backgraph
+ * feed pays the probe per mutation — an enabled-only cost.)
  */
 struct BarrierContext {
     Heap *heap;
     RememberedSet *remset;
-    AssertionEngine *engine;
     /** Telemetry: slow-path entries for this runtime (may be null). */
     std::atomic<uint64_t> *slowHits;
-    /** Why-alive backgraph consumer (may be null). */
+    /** Why-alive backgraph consumer (null = not armed). */
     Backgraph *backgraph;
-    /** Which consumers are armed (kMode*). */
-    uint32_t modeMask;
 };
 
 std::mutex &
@@ -75,110 +57,71 @@ contextOwning(const Object *obj)
 namespace detail {
 
 std::atomic<uint32_t> g_writeBarriersArmed{0};
-std::atomic<uint32_t> g_trackAllWrites{0};
 std::atomic<uint32_t> g_trackBackgraph{0};
 
 void
 writeBarrierSlow(Object *src, Object **slot, Object *target)
 {
     // The inline filter ran against racy flag snapshots; re-evaluate
-    // under the registry lock so each latch fires exactly once.
+    // under the registry lock so the remembered-set latch fires
+    // exactly once.
     std::lock_guard<std::mutex> guard(registryMutex());
 
     // Single dispatch point: one ownership probe resolves the source
-    // runtime, whose precomputed mode mask says which consumers run.
-    if (BarrierContext *ctx = contextOwning(src)) {
-        if (ctx->slowHits)
-            ctx->slowHits->fetch_add(1, std::memory_order_relaxed);
+    // runtime and with it both consumers.
+    BarrierContext *ctx = contextOwning(src);
+    if (!ctx)
+        return;
+    if (ctx->slowHits)
+        ctx->slowHits->fetch_add(1, std::memory_order_relaxed);
 
-        uint32_t mode = ctx->modeMask;
-        uint32_t sf = src->rawFlagsAtomic();
-        uint32_t tf = target ? target->rawFlagsAtomic() : 0;
-
-        // Remembered-set feed, latched (kRememberedBit): the
-        // all-writes mode records the source's cards whatever the
-        // target (incremental assertion recheck — safe in
-        // generational mode, the minor GC just rescans sources whose
-        // trace truncates at the mature boundary); otherwise only a
-        // mature->nursery edge is worth remembering. Nursery sources
-        // never reach here (inline filter); their regions are
-        // churn-dirty from their own allocation.
-        if ((sf & (kNurseryBit | kRememberedBit)) == 0 &&
-            ((mode & kModeAllWrites) != 0 ||
-             ((mode & kModeRemset) != 0 && (tf & kNurseryBit) != 0)))
-            ctx->remset->record(src, slot);
-
-        if ((sf & kOwnerBit) != 0 && (sf & kWriteDirtyBit) == 0) {
-            // Mutated owner: its owned region may have changed
-            // shape, so the next full trace scans it ahead of clean
-            // owners.
-            src->setFlagsAtomic(kWriteDirtyBit);
-            ctx->engine->noteOwnerMutated(src);
-        }
-
-        // Backgraph feed, unlatched: *slot still holds the old
-        // target (the inline path stores after the slow call), so
-        // the old backward edge can be retired exactly.
-        if ((mode & kModeBackgraph) != 0 && *slot != target)
-            ctx->backgraph->noteWrite(src, *slot, target);
-    }
-
+    uint32_t sf = src->rawFlagsAtomic();
     uint32_t tf = target ? target->rawFlagsAtomic() : 0;
-    if (target && (tf & kUnsharedBit) != 0 &&
-        (tf & kWriteDirtyBit) == 0) {
-        // A new reference now points at an assert-unshared object; the
-        // next full trace re-checks it from the dirty set. Separate
-        // probe: the target may belong to a different runtime than
-        // the source.
-        if (BarrierContext *ctx = contextOwning(target)) {
-            target->setFlagsAtomic(kWriteDirtyBit);
-            ctx->engine->noteUnsharedTargetMutated(target);
-        }
-    }
+
+    // Remembered-set feed, latched (kRememberedBit): only a
+    // mature->nursery edge is worth remembering.
+    if ((tf & kNurseryBit) != 0 &&
+        (sf & (kNurseryBit | kRememberedBit)) == 0)
+        ctx->remset->record(src);
+
+    // Backgraph feed, unlatched: *slot still holds the old target
+    // (the inline path stores after the slow call), so the old
+    // backward edge can be retired exactly.
+    if (ctx->backgraph && *slot != target)
+        ctx->backgraph->noteWrite(src, *slot, target);
 }
 
 } // namespace detail
 
 BarrierScope::BarrierScope(Heap &heap, RememberedSet &remset,
-                           AssertionEngine &engine,
                            std::atomic<uint64_t> *slow_hits,
-                           bool track_all_writes,
                            Backgraph *backgraph)
     : heap_(heap)
 {
-    uint32_t mode = kModeRemset;
-    if (track_all_writes)
-        mode |= kModeAllWrites;
-    if (backgraph)
-        mode |= kModeBackgraph;
     std::lock_guard<std::mutex> guard(registryMutex());
-    registry().push_back(BarrierContext{&heap, &remset, &engine,
-                                        slow_hits, backgraph, mode});
+    registry().push_back(
+        BarrierContext{&heap, &remset, slow_hits, backgraph});
     detail::g_writeBarriersArmed.fetch_add(1, std::memory_order_relaxed);
-    if (track_all_writes)
-        detail::g_trackAllWrites.fetch_add(1, std::memory_order_relaxed);
     if (backgraph)
         detail::g_trackBackgraph.fetch_add(1, std::memory_order_relaxed);
 }
 
 BarrierScope::~BarrierScope()
 {
-    uint32_t mode = 0;
+    bool backgraph = false;
     {
         std::lock_guard<std::mutex> guard(registryMutex());
         auto &contexts = registry();
         for (auto it = contexts.begin(); it != contexts.end(); ++it) {
             if (it->heap == &heap_) {
-                mode = it->modeMask;
+                backgraph = it->backgraph != nullptr;
                 contexts.erase(it);
                 break;
             }
         }
     }
     detail::g_writeBarriersArmed.fetch_sub(1, std::memory_order_relaxed);
-    if ((mode & kModeAllWrites) != 0)
-        detail::g_trackAllWrites.fetch_sub(1, std::memory_order_relaxed);
-    if ((mode & kModeBackgraph) != 0)
+    if (backgraph)
         detail::g_trackBackgraph.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -6,31 +6,23 @@
  * path (heap/object.h) loads one global armed flag and, when some
  * runtime is generational, applies header-bit filters. Everything
  * past the filters lives here: a process-wide registry maps the
- * mutated object back to its owning runtime's RememberedSet and
- * AssertionEngine, and the slow path then
+ * mutated object back to its owning runtime, and the slow path then
  *
  *  - records mature->nursery edges in the remembered set (so a minor
  *    collection can treat remembered sources as roots into the
  *    nursery), and
- *  - enqueues mutated owners and newly referenced assert-unshared
- *    targets on the engine's dirty set, so the next full trace's
- *    re-checks start from the mutated frontier instead of cold
- *    (mutated owner regions are scanned first; dirty/clean counts are
- *    surfaced in the stats), and
  *  - feeds every reference mutation to the why-alive backgraph when
  *    one is armed (detectors/backgraph).
  *
- * The slow path dispatches through a single per-runtime mode mask
- * (remset / all-writes / backgraph), computed once at registration
- * and consulted once per recorded source, instead of re-deriving
- * each consumer's condition from scattered booleans.
+ * One registry probe per slow-path entry resolves the runtime and
+ * with it both consumers.
  *
  * The registry indirection is what keeps raw Object::setRef callers
  * (tests, embedders that never adopted Runtime::writeRef) sound in
  * generational mode: the barrier does not depend on the caller
  * holding a runtime reference, only on the store going through
- * setRef. Lookups are rare by construction — each filter bit latches
- * until the next collection clears it.
+ * setRef. Without a backgraph, lookups are rare by construction — the
+ * remembered-set filter latches until the next collection clears it.
  */
 
 #ifndef GCASSERT_GC_BARRIER_H
@@ -45,14 +37,13 @@ namespace gcassert {
 
 class Heap;
 class RememberedSet;
-class AssertionEngine;
 class Backgraph;
 
 /**
  * Arms the write barrier for one runtime's lifetime: registers the
- * (heap, remset, engine) triple with the process-wide barrier
+ * (heap, remset, backgraph) triple with the process-wide barrier
  * registry on construction and removes it on destruction. Owned by
- * Runtime; constructed only in generational mode.
+ * Runtime; constructed in generational mode or with a backgraph.
  */
 class BarrierScope {
   public:
@@ -60,14 +51,7 @@ class BarrierScope {
      * @param slow_hits Optional telemetry counter bumped once per
      *        slow-path entry attributed to this runtime's heap (the
      *        metrics registry reads it as a gauge). May be nullptr.
-     * @param track_all_writes Record every written (non-nursery,
-     *        unlatched) source in the remembered set, not just
-     *        mature-to-nursery edges, so the incremental assertion
-     *        recheck can consume the dirty-card stream at the next
-     *        full collection. Rides the same kRememberedBit latch:
-     *        still at most one slow-path trip per written source per
-     *        GC cycle.
-     * @param backgraph Optional third consumer: every reference
+     * @param backgraph Optional second consumer: every reference
      *        mutation from this runtime's heap (old target, new
      *        target) is fed to the why-alive backgraph. Unlatched —
      *        this is the one consumer that needs the full write
@@ -75,9 +59,7 @@ class BarrierScope {
      *        inline filter.
      */
     BarrierScope(Heap &heap, RememberedSet &remset,
-                 AssertionEngine &engine,
                  std::atomic<uint64_t> *slow_hits = nullptr,
-                 bool track_all_writes = false,
                  Backgraph *backgraph = nullptr);
     ~BarrierScope();
 

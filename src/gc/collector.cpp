@@ -1,6 +1,5 @@
 #include "gc/collector.h"
 
-#include "assertions/incremental.h"
 #include "detectors/backgraph.h"
 
 #include <algorithm>
@@ -229,8 +228,6 @@ Collector::minorCollect()
         mnVisit(owner);
     for (Object *ownee : engine_.ownership().ownees())
         mnVisit(ownee);
-    for (Object *obj : engine_.dirtyUnsharedTargets())
-        mnVisit(obj);
 
     // Remembered-set roots: rescan every reference slot of each
     // recorded mature source (the set is source-precise).
@@ -260,12 +257,6 @@ Collector::minorCollect()
         for (const auto &hook : freeHooks_)
             hook(obj);
     });
-    // The incremental recheck is the card stream's second consumer:
-    // drain it into region dirt before the set is dropped, or the
-    // mutations recorded since the last collection would be lost to
-    // the next full GC's merge.
-    if (config_.infrastructure && incremental_ != nullptr)
-        incremental_->consumeCards(remset_);
     remset_.clear();
 
     result.promoted = swept.promotedObjects;
@@ -338,18 +329,7 @@ Collector::collectImpl()
     // drop the remembered set. The full collection then runs with
     // zero nursery state — every phase below is textually identical
     // to the non-generational path, which is how full GCs stay the
-    // sole authority for assertion verdicts. (The kWriteDirtyBit
-    // latches survive: the dirty sets are consumed in onTraceDone.)
-    // Incremental-recheck prologue: drain the dirty-card stream into
-    // region dirt before anything clears the remembered set. In
-    // non-generational mode the set exists purely as this card feed,
-    // so it is cleared (latches and all) right here.
-    if (kInfra && incremental_ != nullptr) {
-        incremental_->consumeCards(remset_);
-        if (!heap_.generational())
-            remset_.clear();
-    }
-
+    // sole authority for assertion verdicts.
     if (heap_.generational()) {
         stats_.nurseryPromotedAtFullGc += heap_.promoteAllNursery();
         remset_.clear();
@@ -372,8 +352,6 @@ Collector::collectImpl()
     // and registered owner/ownee pairs).
     if (kInfra && !engine_.ownership().empty()) {
         uint64_t t0 = tr ? nowNanos() : 0;
-        uint64_t dirty_before = stats_.dirtyOwnerScans;
-        uint64_t clean_before = stats_.cleanOwnerScans;
         {
             ScopedTimer t(stats_.ownershipPhase);
             ownershipPhase<kPath>();
@@ -381,10 +359,6 @@ Collector::collectImpl()
         if (tr) {
             JsonWriter a;
             a.beginObject()
-                .field("dirtyOwnerScans",
-                       stats_.dirtyOwnerScans - dirty_before)
-                .field("cleanOwnerScans",
-                       stats_.cleanOwnerScans - clean_before)
                 .field("owneeChecks", stats_.owneeChecksLastGc)
                 .endObject();
             tr->complete("ownership_scan", "gc", t0, nowNanos(), 0,
@@ -540,42 +514,6 @@ Collector::collectImpl()
         }
     }
 
-    // Incremental mode: the deferred instance/volume verdict, now
-    // that the sweep's free hooks have settled the region tallies
-    // (post-sweep live set == marked set, so the totals equal what
-    // the mark loop would have counted). Before the per-GC violation
-    // accounting below, so result.violations includes these reports
-    // exactly like the non-incremental finish phase would have.
-    if (kInfra && incremental_ != nullptr) {
-        uint64_t t0 = (tr || costActive_) ? nowNanos() : 0;
-        uint64_t hits_before = engine_.stats().cacheHits;
-        uint64_t inval_before = engine_.stats().cacheInvalidations;
-        AssertCostTallies recheck_cost;
-        {
-            ScopedTimer t(stats_.finishPhase);
-            engine_.onPostSweep(costActive_ ? &recheck_cost : nullptr);
-        }
-        uint64_t t1 = (tr || costActive_) ? nowNanos() : 0;
-        if (costActive_) {
-            recheck_cost.setOtherFromSpan(t1 - t0);
-            telemetry_->assertCost().addFinish(recheck_cost);
-        }
-        if (tr) {
-            JsonWriter a;
-            a.beginObject()
-                .field("cacheHits",
-                       engine_.stats().cacheHits - hits_before)
-                .field("cacheInvalidations",
-                       engine_.stats().cacheInvalidations -
-                           inval_before);
-            if (costActive_)
-                a.key("assertCost").valueRaw(recheck_cost.toJson());
-            a.endObject();
-            tr->complete("incremental_recheck", "gc", t0, t1, 0,
-                         a.str());
-        }
-    }
-
     result.marked = markedThisGc_;
     result.violations =
         engine_.stats().violationsReported - violations_before;
@@ -697,12 +635,8 @@ Collector::markObject(Object *obj)
         // cheap in the trace loop. Attribution times only the
         // tracked-type tally; the flag test itself is baseline visit
         // cost and lands in the Other bucket.
-        // With the incremental cache attached the tallies are
-        // alloc/free-maintained per region instead, and the deferred
-        // post-sweep merge supplies the totals — this is where the
-        // cached mode's mark-phase saving comes from.
         TypeId type = obj->typeId();
-        if (types_.trackedFlags()[type] && incremental_ == nullptr) {
+        if (types_.trackedFlags()[type]) {
             CostScope cost(cost_, AssertCostKind::Instances);
             types_.bumpInstanceCount(type, obj->sizeBytes());
         }
@@ -929,22 +863,15 @@ Collector::ownershipPhase()
     std::vector<std::pair<Object *, Object *>> queue;
 
     inOwnershipScan_ = true;
-    // Owners are scanned in registration order, dirty or not. Scan
-    // order is OBSERVABLE here: a region scan truncates at objects an
-    // earlier scan already marked, so which scan first encounters an
+    // Owners are scanned in registration order. Scan order is
+    // OBSERVABLE here: a region scan truncates at objects an earlier
+    // scan already marked, so which scan first encounters an
     // overlapped ownee — and therefore which misuse/ownedby verdict
-    // fires — depends on it. The barrier-fed dirty bits only classify
-    // each scan (dirty owners are the re-checks most likely to yield
-    // a changed verdict; the stats expose how many each pause ran),
-    // keeping generational runs verdict-identical by construction.
+    // fires — depends on it.
     // An owner's tag is its position in the table: no lookup.
     const std::vector<Object *> &owners = engine_.ownership().owners();
     for (size_t i = 0; i < owners.size(); ++i) {
         Object *owner = owners[i];
-        if (owner->testFlag(kWriteDirtyBit))
-            ++stats_.dirtyOwnerScans;
-        else
-            ++stats_.cleanOwnerScans;
         scanKind_ = "owner";
         scanAnchor_ = owner;
         currentOwnerTag_ = static_cast<uint32_t>(i) + 1;
@@ -1220,15 +1147,11 @@ Collector::parallelMarkPhase()
         }
     }
     if (kInfra) {
-        if (incremental_ == nullptr) {
-            for (TypeId id : types_.trackedTypes()) {
-                for (MarkWorker &w : workers) {
-                    if (w.instanceCounts[id] != 0 ||
-                        w.instanceBytes[id] != 0)
-                        types_.bumpInstanceCountBy(
-                            id, w.instanceCounts[id],
-                            w.instanceBytes[id]);
-                }
+        for (TypeId id : types_.trackedTypes()) {
+            for (MarkWorker &w : workers) {
+                if (w.instanceCounts[id] != 0 || w.instanceBytes[id] != 0)
+                    types_.bumpInstanceCountBy(id, w.instanceCounts[id],
+                                               w.instanceBytes[id]);
             }
         }
         engine_.reportPending(std::move(pending));
@@ -1319,10 +1242,8 @@ Collector::parVisit(Object **slot, Object *obj, MarkWorker &w)
     if (obj->tryMark()) {
         ++w.marked;
         if (kInfra) {
-            // Incremental mode keeps the tallies per region instead;
-            // see the sequential markObject for the rationale.
             TypeId type = obj->typeId();
-            if (types_.trackedFlags()[type] && incremental_ == nullptr) {
+            if (types_.trackedFlags()[type]) {
                 CostScope cost(costActive_ ? &w.cost : nullptr,
                                AssertCostKind::Instances);
                 ++w.instanceCounts[type];

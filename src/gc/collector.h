@@ -51,7 +51,6 @@
 namespace gcassert {
 
 class Backgraph;
-class IncrementalAssertCache;
 class Telemetry;
 class TraceRecorder;
 
@@ -152,9 +151,9 @@ class Collector {
      * sources, truncating at mature objects; marked nursery objects
      * are promoted in place, unmarked ones reclaimed. Objects the
      * assertion machinery holds raw pointers to (region queues,
-     * finalizables, the ownership table, the barrier dirty sets) are
-     * pinned — their lifetime verdicts belong to the full GC, which
-     * remains the sole authority for assertion checking: a minor
+     * finalizables, the ownership table) are pinned — their lifetime
+     * verdicts belong to the full GC, which remains the sole
+     * authority for assertion checking: a minor
      * collection performs NO assertion checks and reports NO
      * assertion violations, it only bounds pause time between full
      * GCs. (A minor pause does count against the pause SLO budget;
@@ -185,19 +184,6 @@ class Collector {
      * test. Set between collections only.
      */
     void setTelemetry(Telemetry *telemetry);
-
-    /**
-     * Attach (or detach, with nullptr) the incremental assertion
-     * recheck cache. While attached, full GCs consume the remembered
-     * set's dirty-card stream in their prologue (before clearing the
-     * set), skip the per-object mark-phase instance tallies, and run
-     * the deferred instance/volume verdict after the sweep via
-     * AssertionEngine::onPostSweep. Set between collections only.
-     */
-    void setIncrementalCache(IncrementalAssertCache *cache)
-    {
-        incremental_ = cache;
-    }
 
     /**
      * Attach (or detach, with nullptr) the why-alive backgraph.
@@ -404,8 +390,6 @@ class Collector {
 
     /** The runtime's telemetry bundle; null = all knobs off. */
     Telemetry *telemetry_ = nullptr;
-    /** Incremental recheck cache; null = classic whole-heap checks. */
-    IncrementalAssertCache *incremental_ = nullptr;
     /** Why-alive backgraph; null = no leak-trend sampling/pruning. */
     Backgraph *backgraph_ = nullptr;
     /** True while the current GC records trace spans. */

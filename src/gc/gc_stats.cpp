@@ -58,11 +58,6 @@ GcStats::toString() const
         out += format("minor gc time:      %.3f ms\n",
                       minorGc.elapsedSeconds() * 1e3);
     }
-    if (dirtyOwnerScans > 0 || cleanOwnerScans > 0) {
-        out += format("owner scans:        %llu dirty-first, %llu cold\n",
-                      static_cast<unsigned long long>(dirtyOwnerScans),
-                      static_cast<unsigned long long>(cleanOwnerScans));
-    }
     out += format("gc time:            %.3f ms\n",
                   totalGc.elapsedSeconds() * 1e3);
     out += format("  ownership phase:  %.3f ms\n",
@@ -103,8 +98,6 @@ GcStats::toJson() const
         .field("nurserySweptBytes", nurserySweptBytes)
         .field("nurseryPromotedAtFullGc", nurseryPromotedAtFullGc)
         .field("remsetSourcesScanned", remsetSourcesScanned)
-        .field("dirtyOwnerScans", dirtyOwnerScans)
-        .field("cleanOwnerScans", cleanOwnerScans)
         .field("totalGcNanos", totalGc.elapsedNanos())
         .field("ownershipPhaseNanos", ownershipPhase.elapsedNanos())
         .field("tracePhaseNanos", tracePhase.elapsedNanos())

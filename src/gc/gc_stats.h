@@ -120,16 +120,6 @@ struct GcStats {
     /** Stop-the-world time spent in minor collections. */
     Stopwatch minorGc;
 
-    /** @name Dirty-first ownership scanning (barrier-fed)
-     *  @{ */
-
-    /** Owner regions scanned from the dirty set (scanned first). */
-    uint64_t dirtyOwnerScans = 0;
-
-    /** Owner regions scanned cold (no barrier hit since last GC). */
-    uint64_t cleanOwnerScans = 0;
-
-    /** @} */
     /** @} */
 
     /** Reset all counters and timers. */

@@ -3,29 +3,12 @@
 namespace gcassert {
 
 bool
-RememberedSet::record(Object *src, void *slot)
+RememberedSet::record(Object *src)
 {
     std::lock_guard<std::mutex> guard(mutex_);
     ++totalRecords_;
     if (!members_.insert(src).second)
         return false;
-    // Mark every card spanned by the source's reference-slot array,
-    // not just the written slot: the kRememberedBit latch keeps later
-    // writes from the same source out of the slow path, so per-slot
-    // card marks would miss them. Covering the whole array keeps the
-    // verifier's invariant simple — any mature->nursery slot of a
-    // recorded source has a marked card.
-    uint32_t n = src->numRefs();
-    if (n > 0) {
-        uintptr_t first =
-            reinterpret_cast<uintptr_t>(src->refSlotAddr(0)) >> kCardShift;
-        uintptr_t last = reinterpret_cast<uintptr_t>(
-                             src->refSlotAddr(n - 1)) >> kCardShift;
-        for (uintptr_t card = first; card <= last; ++card)
-            cards_.insert(card);
-    } else {
-        cards_.insert(reinterpret_cast<uintptr_t>(slot) >> kCardShift);
-    }
     sources_.push_back(src);
     // The latch makes the barrier's inline filter skip this source
     // until the set is cleared.
@@ -49,7 +32,6 @@ RememberedSet::clear()
         src->clearFlagsAtomic(kRememberedBit);
     sources_.clear();
     members_.clear();
-    cards_.clear();
 }
 
 } // namespace gcassert

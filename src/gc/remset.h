@@ -3,13 +3,12 @@
  * The remembered set for generational collection.
  *
  * Records every mature object that holds at least one reference into
- * the nursery, plus the 512-byte cards spanning each recorded
- * source's reference-slot array. The write barrier filters on header
- * bits (nursery target, mature unremembered source) before calling
- * record(), so the set sees one insertion per source object per GC
- * cycle; the card marks ride along for statistics and for the heap
- * verifier's remset-invariant check (a mature->nursery slot whose
- * card is unmarked proves a barrier bypass).
+ * the nursery. The write barrier filters on header bits (nursery
+ * target, mature unremembered source) before calling record(), so the
+ * set sees one insertion per source object per GC cycle. The heap
+ * verifier checks the remset invariant against contains(): a
+ * mature->nursery slot whose source is not recorded proves a barrier
+ * bypass.
  *
  * The set is source-precise rather than slot-precise: a minor
  * collection rescans every reference slot of each remembered source,
@@ -31,24 +30,22 @@
 
 namespace gcassert {
 
-/** Card granularity: 512-byte spans, the classic card-table size. */
-constexpr uintptr_t kCardShift = 9;
-constexpr uintptr_t kCardBytes = uintptr_t{1} << kCardShift;
-
 /**
  * The set of mature objects with recorded nursery references.
  */
 class RememberedSet {
   public:
     /**
-     * Record @p src as holding a nursery reference through @p slot.
-     * Sets kRememberedBit on @p src (the barrier's filter latch) and
-     * marks the slot's card. Idempotent per source; thread-safe (the
-     * barrier may fire from concurrent mutators).
+     * Record @p src as holding a nursery reference. Sets
+     * kRememberedBit on @p src (the barrier's filter latch), which
+     * keeps later writes from the same source out of the slow path;
+     * the minor GC rescans every slot of a recorded source, so the
+     * whole slot array is covered. Idempotent per source; thread-safe
+     * (the barrier may fire from concurrent mutators).
      *
      * @return true when @p src was newly recorded.
      */
-    bool record(Object *src, void *slot);
+    bool record(Object *src);
 
     /** @return true if @p src is in the set. */
     bool
@@ -56,15 +53,6 @@ class RememberedSet {
     {
         std::lock_guard<std::mutex> guard(mutex_);
         return members_.count(src) != 0;
-    }
-
-    /** @return true if the card containing @p slot is marked. */
-    bool
-    cardMarkedFor(const void *slot) const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        return cards_.count(reinterpret_cast<uintptr_t>(slot) >>
-                            kCardShift) != 0;
     }
 
     /** Recorded source objects. */
@@ -75,35 +63,12 @@ class RememberedSet {
         return sources_.size();
     }
 
-    /** Distinct dirty cards. */
-    size_t
-    cardCount() const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        return cards_.size();
-    }
-
     /**
      * Visit every recorded source, in recording order (deterministic
      * for a deterministic mutator). Single-threaded use only (the
      * minor GC runs stopped-world).
      */
     void forEachSource(const std::function<void(Object *)> &visit) const;
-
-    /**
-     * Visit every dirty card index (slot address >> kCardShift).
-     * Iteration order is a hash-set's — callers must be
-     * order-insensitive (the incremental recheck only ORs region
-     * dirty bits). Stopped-world use: the collector consumes the
-     * stream in its prologue, before clear().
-     */
-    void
-    forEachCard(const std::function<void(uintptr_t)> &visit) const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        for (uintptr_t card : cards_)
-            visit(card);
-    }
 
     /**
      * Drop every entry and clear the kRememberedBit latches. Called
@@ -125,7 +90,6 @@ class RememberedSet {
     mutable std::mutex mutex_;
     std::vector<Object *> sources_;
     std::unordered_set<const Object *> members_;
-    std::unordered_set<uintptr_t> cards_;
     uint64_t totalRecords_ = 0;
 };
 

@@ -107,7 +107,11 @@ Block::finishLazySweep()
     FreeCell *tail = nullptr;
     for (uint32_t cell = 0; cell < numCells_; ++cell) {
         if (usedBit(cell)) {
-            objectAt(cell)->clearFlag(kMarkBit);
+            // Atomic: with TLABs this runs on one mutator while
+            // another's write barrier may latch kRememberedBit into
+            // the same header word; a plain read-modify-write here
+            // could drop that latch.
+            objectAt(cell)->clearFlagsAtomic(kMarkBit);
             continue;
         }
         auto *fc = reinterpret_cast<FreeCell *>(objectAt(cell));

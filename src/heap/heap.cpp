@@ -36,8 +36,6 @@ Heap::allocate(TypeId type_id, uint32_t num_refs, uint32_t scalar_bytes)
         liveObjects_.fetch_add(1, std::memory_order_relaxed);
         totalAllocatedBytes_.fetch_add(charged, std::memory_order_relaxed);
         totalAllocatedObjects_.fetch_add(1, std::memory_order_relaxed);
-        if (regionSummaries_)
-            regionSummaries_->noteAlloc(obj);
     }
     return obj;
 }
@@ -139,8 +137,6 @@ Heap::tlabAllocate(TlabCache &cache, TypeId type_id, uint32_t num_refs,
     tlabAllocs_.fetch_add(1, std::memory_order_relaxed);
     if (config_.generational)
         noteNursery(obj, block, charged);
-    if (regionSummaries_)
-        regionSummaries_->noteAlloc(obj);
     return obj;
 }
 
@@ -444,8 +440,6 @@ Heap::sweepNursery(const std::function<void(Object *)> &on_dead)
             // is just dropping the nursery tag.
             obj->clearFlag(kMarkBit);
             obj->clearFlag(kNurseryBit);
-            if (regionSummaries_)
-                regionSummaries_->notePromotion(obj);
             ++stats.promotedObjects;
             continue;
         }
@@ -479,8 +473,6 @@ Heap::promoteAllNursery()
     uint64_t promoted = 0;
     for (const NurseryEntry &entry : nursery_) {
         entry.obj->clearFlag(kNurseryBit);
-        if (regionSummaries_)
-            regionSummaries_->notePromotion(entry.obj);
         ++promoted;
     }
     nursery_.clear();

@@ -31,7 +31,6 @@
 
 #include "heap/block.h"
 #include "heap/object.h"
-#include "heap/region_summary.h"
 #include "heap/size_classes.h"
 
 namespace gcassert {
@@ -262,24 +261,6 @@ class Heap {
     /** @return true when the heap tracks a nursery generation. */
     bool generational() const { return config_.generational; }
 
-    /**
-     * Attach (or detach, with nullptr) the per-region summary table
-     * the incremental assertion recheck maintains. While attached,
-     * both allocation funnels note every new object and the nursery
-     * paths note every promotion, so the table's alloc/free tallies
-     * stay exact. Attach before the first allocation (the runtime
-     * does so in its constructor); the table is owned elsewhere.
-     */
-    void setRegionSummaries(RegionSummaryTable *summaries)
-    {
-        regionSummaries_ = summaries;
-    }
-
-    RegionSummaryTable *regionSummaries() const
-    {
-        return regionSummaries_;
-    }
-
     /** Bytes charged to nursery objects since the last collection. */
     uint64_t
     nurseryBytes() const
@@ -353,8 +334,6 @@ class Heap {
     std::atomic<uint64_t> totalAllocatedObjects_{0};
     std::atomic<uint64_t> tlabAllocs_{0};
 
-    /** Incremental-recheck region summaries (null = not tracking). */
-    RegionSummaryTable *regionSummaries_ = nullptr;
     std::atomic<uint64_t> blocksMinted_{0};
 
     /** Per-size-class block lists. */

@@ -76,13 +76,7 @@ enum ObjectFlag : uint32_t {
      * remembered set (the barrier's once-per-source latch).
      */
     kRememberedBit = 1u << 10,
-    /**
-     * A tracked reference write mutated this object (as source) or
-     * newly referenced it (as an assert-unshared target) since the
-     * last full collection. Feeds the assertion engine's dirty set;
-     * cleared when the full GC consumes the set.
-     */
-    kWriteDirtyBit = 1u << 11,
+    // Bit 11 is unused.
 };
 
 namespace detail {
@@ -102,25 +96,8 @@ writeBarriersArmed()
 }
 
 /**
- * Global count of runtimes tracking *all* reference writes (the
- * incremental assertion recheck's dirty-card feed), not just
- * mature-to-nursery edges. A subset of the armed runtimes: when
- * non-zero, the inline filter also fires for any unlatched,
- * non-nursery source so the slow path can record the source's cards
- * once per GC cycle. Nursery sources are excluded — their regions
- * are already churn-dirty from their own allocation this cycle.
- */
-extern std::atomic<uint32_t> g_trackAllWrites;
-
-inline bool
-trackingAllWrites()
-{
-    return g_trackAllWrites.load(std::memory_order_relaxed) != 0;
-}
-
-/**
  * Global count of runtimes feeding the why-alive backgraph
- * (detectors/backgraph). Unlike the two counters above this feed is
+ * (detectors/backgraph). Unlike the remembered-set feed this one is
  * *unlatched* — the backgraph needs every reference mutation, not
  * once-per-source-per-cycle, so each non-no-op store from an armed
  * runtime takes the slow path. The cost exists only while a
@@ -138,9 +115,9 @@ trackingBackgraph()
 /**
  * Out-of-line barrier slow path (src/gc/barrier.cpp): records
  * mature-to-nursery edges in the owning runtime's remembered set and
- * feeds mutated owner / unshared-target objects to its assertion
- * engine's dirty set. Reached only when the inline header-bit filters
- * fire, i.e. at most once per (object, latch bit) per GC cycle.
+ * feeds reference mutations to its why-alive backgraph. Reached only
+ * when the inline filters fire: at most once per remembered source
+ * per GC cycle, plus every mutation while a backgraph is armed.
  */
 void writeBarrierSlow(Object *src, Object **slot, Object *target);
 
@@ -295,11 +272,10 @@ class Object {
      * the generational write barrier hangs: when some runtime has
      * barriers armed, header-bit filters decide (without any lookup)
      * whether the store can possibly need recording — a
-     * mature-to-nursery edge, a mutated owner, or a newly referenced
-     * assert-unshared target — and only then take the out-of-line
-     * slow path. Raw setRef callers (tests, embedders) therefore stay
-     * sound in generational mode without going through
-     * Runtime::writeRef.
+     * mature-to-nursery edge, or any mutation while a backgraph is
+     * armed — and only then take the out-of-line slow path. Raw
+     * setRef callers (tests, embedders) therefore stay sound in
+     * generational mode without going through Runtime::writeRef.
      */
     void
     setRef(uint32_t index, Object *target)
@@ -315,16 +291,9 @@ class Object {
             uint32_t tf = target ? target->rawFlagsAtomic() : 0;
             bool nursery_edge = (tf & kNurseryBit) != 0 &&
                 (sf & (kNurseryBit | kRememberedBit)) == 0;
-            bool dirty_owner = (sf & kOwnerBit) != 0 &&
-                (sf & kWriteDirtyBit) == 0;
-            bool dirty_unshared = (tf & kUnsharedBit) != 0 &&
-                (tf & kWriteDirtyBit) == 0;
-            bool all_writes = detail::trackingAllWrites() &&
-                (sf & (kNurseryBit | kRememberedBit)) == 0;
             bool backgraph =
                 detail::trackingBackgraph() && *slot != target;
-            if (nursery_edge || dirty_owner || dirty_unshared ||
-                all_writes || backgraph)
+            if (nursery_edge || backgraph)
                 detail::writeBarrierSlow(this, slot, target);
         }
         *slot = target;

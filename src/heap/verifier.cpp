@@ -83,10 +83,10 @@ HeapVerifier::verify() const
 
         // Remembered-set invariant: at a mutator quiescent point,
         // every mature->nursery edge must have been recorded by the
-        // write barrier — the source is in the remembered set and the
-        // slot's card is marked. An unrecorded edge proves a barrier
-        // bypass and would let a minor collection reclaim a live
-        // nursery object.
+        // write barrier — the source is in the remembered set (which
+        // rescans the source's every slot). An unrecorded edge proves a
+        // barrier bypass and would let a minor collection reclaim a
+        // live nursery object.
         if (!obj->testFlag(kNurseryBit)) {
             for (uint32_t i = 0; i < obj->numRefs(); ++i) {
                 const Object *child = obj->ref(i);
@@ -96,10 +96,6 @@ HeapVerifier::verify() const
                     report(obj, format("unrecorded mature->nursery edge "
                                        "in ref slot %u (source not in "
                                        "the remembered set)", i));
-                else if (!runtime_.remset().cardMarkedFor(
-                             obj->refSlotAddr(i)))
-                    report(obj, format("mature->nursery edge in ref "
-                                       "slot %u has no marked card", i));
             }
         }
     });

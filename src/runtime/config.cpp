@@ -56,14 +56,6 @@ defaultNurseryKb()
 }
 
 bool
-defaultIncrementalAssert()
-{
-    static const bool incremental =
-        envUint("GCASSERT_INCREMENTAL_ASSERT", 0) != 0;
-    return incremental;
-}
-
-bool
 defaultBackgraph()
 {
     static const bool backgraph =

@@ -37,7 +37,6 @@ bool defaultLazySweep();
 bool defaultTlabEnabled();
 bool defaultGenerational();
 uint32_t defaultNurseryKb();
-bool defaultIncrementalAssert();
 bool defaultBackgraph();
 uint32_t defaultBackgraphInDegreeCap();
 uint32_t defaultBackgraphWindow();
@@ -111,21 +110,6 @@ struct RuntimeConfig {
      * Defaults to $GCASSERT_NURSERY_KB or 4096.
      */
     uint32_t nurseryKb = defaultNurseryKb();
-
-    /**
-     * Incremental assertion recheck: cache per-region summaries for
-     * the cacheable assertion kinds (assert-instances / assert-volume
-     * tallies, assert-unshared in-degree bits, assert-ownedby ownee
-     * counts) and at each full GC re-verify only regions whose cards
-     * were dirtied — or that saw allocations, frees or promotions —
-     * since the last collection, merging cached summaries for clean
-     * regions. Verdicts are bit-identical with the feature on or off;
-     * only where the checking work happens changes (the mark-phase
-     * tallies move to a post-sweep merge proportional to dirty
-     * regions). Requires infrastructure = true to have any effect.
-     * Defaults to $GCASSERT_INCREMENTAL_ASSERT or false.
-     */
-    bool incrementalAssert = defaultIncrementalAssert();
 
     /**
      * Always-on why-alive backgraph + leak detectors

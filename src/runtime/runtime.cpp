@@ -31,16 +31,7 @@ Runtime::Runtime(RuntimeConfig config)
                                  config_.sweepThreads,
                                  config_.lazySweep})
 {
-    // Incremental recheck: wire the cache into every layer before any
-    // allocation, so the region tallies see the whole object stream.
-    if (config_.infrastructure && config_.incrementalAssert) {
-        incremental_ =
-            std::make_unique<IncrementalAssertCache>(heap_, types_);
-        heap_.setRegionSummaries(&incremental_->table());
-        engine_.setIncremental(incremental_.get());
-        collector_.setIncrementalCache(incremental_.get());
-    }
-    // Why-alive backgraph: third write-barrier consumer; the
+    // Why-alive backgraph: second write-barrier consumer; the
     // collector prunes dead edges during sweep and samples the leak
     // trends after each full collection's verdicts settle.
     if (config_.backgraph) {
@@ -51,13 +42,10 @@ Runtime::Runtime(RuntimeConfig config)
         collector_.setBackgraph(backgraph_.get());
     }
     // The barrier arms for generational collection, for the
-    // incremental recheck's all-writes card stream, for the
-    // backgraph's full write stream, or any combination.
-    if (config_.generational || incremental_ || backgraph_)
+    // backgraph's full write stream, or both.
+    if (config_.generational || backgraph_)
         barrier_ = std::make_unique<BarrierScope>(
-            heap_, remset_, engine_, &barrierSlowHits_,
-            /*track_all_writes=*/incremental_ != nullptr,
-            backgraph_.get());
+            heap_, remset_, &barrierSlowHits_, backgraph_.get());
     if (config_.observe.any()) {
         telemetry_ = std::make_unique<Telemetry>(config_.observe);
         collector_.setTelemetry(telemetry_.get());
@@ -156,18 +144,11 @@ Runtime::wireTelemetry()
     m.gauge("heap.nursery_bytes", [&h] { return h.nurseryBytes(); });
     const RememberedSet &rs = remset_;
     m.gauge("remset.sources", [&rs] { return uint64_t{rs.size()}; });
-    m.gauge("remset.cards", [&rs] { return uint64_t{rs.cardCount()}; });
     m.gauge("remset.total_records", [&rs] { return rs.totalRecords(); });
     const std::atomic<uint64_t> &hits = barrierSlowHits_;
     m.gauge("barrier.slow_path_hits", [&hits] {
         return hits.load(std::memory_order_relaxed);
     });
-    if (incremental_) {
-        const AssertionStats &as = engine_.stats();
-        m.gauge("assert.cache.hits", [&as] { return as.cacheHits; });
-        m.gauge("assert.cache.invalidations",
-                [&as] { return as.cacheInvalidations; });
-    }
     if (backgraph_) {
         const Backgraph *bg = backgraph_.get();
         m.gauge("backgraph.nodes", [bg] { return bg->nodeCount(); });

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "assertions/engine.h"
-#include "assertions/incremental.h"
 #include "detectors/backgraph.h"
 #include "gc/barrier.h"
 #include "gc/collector.h"
@@ -69,13 +68,6 @@ class Runtime {
 
     /** Telemetry bundle; nullptr when every observe knob is off. */
     Telemetry *telemetry() { return telemetry_.get(); }
-
-    /** Incremental recheck cache; nullptr unless incrementalAssert
-     *  (and the infrastructure) are enabled. */
-    IncrementalAssertCache *incrementalCache()
-    {
-        return incremental_.get();
-    }
 
     /** Why-alive backgraph; nullptr unless config.backgraph. */
     Backgraph *backgraph() { return backgraph_.get(); }
@@ -368,13 +360,6 @@ class Runtime {
     AssertionEngine engine_;
     /** Mature-to-nursery edges recorded by the write barrier. */
     RememberedSet remset_;
-    /** Property-cached incremental recheck state; non-null iff
-     *  config_.infrastructure && config_.incrementalAssert. Wired
-     *  into the heap (region summaries), the engine (assertion
-     *  hooks) and the collector (card stream + deferred verdict)
-     *  before any allocation. Declared before collector_ so the
-     *  collector's raw pointer never dangles. */
-    std::unique_ptr<IncrementalAssertCache> incremental_;
     /** Why-alive backgraph; non-null iff config_.backgraph. Declared
      *  before collector_ so the collector's raw pointer never
      *  dangles (barrier_, its other feeder, tears down first). */

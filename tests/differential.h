@@ -7,9 +7,9 @@
  * seed-determined heap program, every GC-observable output (freed
  * multisets per full-GC window, exact finalizer order, assertion
  * verdicts, mark/sweep tallies) must be bit-identical with the
- * feature on or off. The parallel-mark, generational, telemetry,
- * pause-SLO, incremental-recheck and config-fuzz suites all compare
- * runs this way; this header holds the pieces they previously
+ * feature on or off. The parallel-mark, parallel-sweep, generational,
+ * telemetry, pause-SLO, backgraph, live-telemetry and config-fuzz suites all
+ * compare runs this way; this header holds the pieces they previously
  * duplicated:
  *
  *  - DiffOutcome: the address-free summary of one run (the union of
@@ -174,8 +174,8 @@ summarize(Runtime &rt, const ScenarioOptions &opt, DiffOutcome &out)
  *
  * The caller owns the whole config: the scenario neither forces nor
  * forbids any knob, so suites can pin exactly the axis they compare
- * (generational on/off, telemetry on/off, incremental recheck
- * on/off, a fuzzer-drawn combination, ...). recordPaths should be
+ * (generational on/off, telemetry on/off, a fuzzer-drawn
+ * combination, ...). recordPaths should be
  * off when includeMessages is set.
  */
 inline DiffOutcome

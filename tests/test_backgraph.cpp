@@ -4,8 +4,8 @@
  * rootward paths at any time, in-degree saturation into pseudo-roots,
  * dead-edge pruning through both sweeps, allocation-site tagging,
  * growing-leak and find-leak trend reports, verdict-neutrality
- * differentials (100 seeds, on/off, plain + generational +
- * incremental), and the end-to-end server leak hunt with *no* armed
+ * differentials (100 seeds, on/off, plain + generational), and the
+ * end-to-end server leak hunt with *no* armed
  * assertion regions.
  */
 
@@ -287,8 +287,8 @@ TEST_F(BackgraphTest, ViolationProvenanceCarriesWhyAlive)
 // ---------------------------------------------------------------
 // Verdict neutrality: backgraph on vs off over the rooted-contract
 // scenario must leave verdicts, messages, freed sets, finalizer
-// order and GC tallies bit-identical — in plain, generational and
-// incremental collector modes.
+// order and GC tallies bit-identical — in plain and generational
+// collector modes.
 // ---------------------------------------------------------------
 
 DiffOutcome
@@ -340,14 +340,6 @@ TEST(BackgraphDifferential, GenerationalOnOff100Seeds)
     runOnOffDifferential("generational", [](RuntimeConfig &c) {
         c.generational = true;
         c.nurseryKb = 64;
-    });
-}
-
-TEST(BackgraphDifferential, IncrementalOnOff100Seeds)
-{
-    CaptureLogSink capture;
-    runOnOffDifferential("incremental", [](RuntimeConfig &c) {
-        c.incrementalAssert = true;
     });
 }
 

@@ -5,12 +5,12 @@
  * baseline.
  *
  * Each optional feature ships with its own on/off differential
- * (parallel mark, generational, telemetry, pause SLO, incremental
- * recheck); this suite covers their *interactions*. For each seed it
+ * (parallel mark, parallel sweep, generational, telemetry, pause SLO,
+ * backgraph, live endpoint); this suite covers their *interactions*. For each seed it
  * runs the shared rooted-contract scenario once on the plain
  * sequential configuration and then under 8 fuzzer-drawn combos of
  * {markThreads, sweepThreads, lazySweep, tlab, generational,
- * incrementalAssert, observe knobs}; verdicts, freed multisets,
+ * backgraph, observe knobs}; verdicts, freed multisets,
  * finalizer order and GC tallies must be bit-identical to the
  * baseline every time.
  *
@@ -58,7 +58,6 @@ baselineConfig()
     config.lazySweep = false;
     config.tlab = false;
     config.generational = false;
-    config.incrementalAssert = false;
     config.backgraph = false;
     config.observe = ObserveConfig{};
     config.observe.traceFile.clear();
@@ -84,7 +83,6 @@ fuzzConfig(Rng &rng, uint64_t seed, uint64_t combo)
     config.nurseryKb = config.generational
                            ? static_cast<uint32_t>(rng.range(16, 64))
                            : config.nurseryKb;
-    config.incrementalAssert = rng.chance(0.5);
     config.backgraph = rng.chance(0.5);
     if (config.backgraph) {
         const uint32_t cap_choices[] = {2, 4, 8};
@@ -120,7 +118,6 @@ describeConfig(const RuntimeConfig &c)
            " tlab=" + std::to_string(c.tlab) +
            " gen=" + std::to_string(c.generational) +
            " nurseryKb=" + std::to_string(c.nurseryKb) +
-           " incr=" + std::to_string(c.incrementalAssert) +
            " backgraph=" + std::to_string(c.backgraph) +
            " bgcap=" + std::to_string(c.backgraphInDegreeCap) +
            " bgwin=" + std::to_string(c.backgraphWindow) +

@@ -19,6 +19,10 @@
  *  - Every registered workload runs generational on vs off with
  *    assertions enabled; the violation verdicts (kind and offending
  *    type) must be identical.
+ *
+ * A minor collection pins only what the assertion machinery holds raw
+ * pointers to; an assert-unshared target is not one of them, so a
+ * dropped nursery target is freed by the next minor collection.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +70,82 @@ TEST(GenerationalDifferential, MatchesNonGenerationalAcross100Seeds)
     }
     // The comparison is vacuous unless minors actually ran.
     EXPECT_GT(total_minors, 100u);
+}
+
+// ---------------------------------------------------------------------
+// Dropped assert-unshared targets
+// ---------------------------------------------------------------------
+
+/**
+ * A mature holder is written a nursery assert-unshared target and
+ * then drops it; a second target stays shared by two holders, so the
+ * full GC reports one verdict. Returns the violation keys; with
+ * @p generational, a minor collection runs after the drop and
+ * @p freed_by_minor says whether it freed the dropped target.
+ */
+std::multiset<std::string>
+runDroppedUnsharedTarget(bool generational, bool *freed_by_minor)
+{
+    RuntimeConfig config;
+    config.infrastructure = true;
+    config.recordPaths = false;
+    config.tlab = false;
+    config.generational = generational;
+    config.nurseryKb = 1u << 20; // minors only when asked for
+    bool freed = false; // outlives the runtime's free hook
+    Runtime rt(config);
+    TypeId node = rt.types()
+                      .define("Node")
+                      .refs({"a", "b"})
+                      .scalars(8)
+                      .build();
+    TypeId target_type = rt.types()
+                             .define("Target")
+                             .refs({"next"})
+                             .scalars(8)
+                             .build();
+
+    Handle holder(rt, rt.allocRaw(node), "holder");
+    Handle other(rt, rt.allocRaw(node), "other");
+    rt.collect(); // the holders are mature from here on
+
+    Object *dropped = rt.allocRaw(target_type);
+    rt.assertUnshared(dropped);
+    rt.writeRef(holder.get(), 0, dropped);
+    Handle shared(rt, rt.allocRaw(target_type), "shared");
+    rt.assertUnshared(shared.get());
+    rt.writeRef(holder.get(), 1, shared.get());
+    rt.writeRef(other.get(), 0, shared.get());
+    shared.reset();
+    rt.writeRef(holder.get(), 0, nullptr);
+
+    rt.addFreeHook([&](Object *obj) { freed |= obj == dropped; });
+    if (generational) {
+        MinorCollectionResult minor = rt.collectMinor();
+        EXPECT_EQ(minor.freedObjects, 1u);
+        *freed_by_minor = freed;
+    }
+    rt.collect();
+
+    std::multiset<std::string> keys;
+    for (const Violation &v : rt.violations())
+        keys.insert(difftest::violationKey(v, true));
+    return keys;
+}
+
+TEST(GenerationalUnshared, DroppedTargetIsFreedByTheNextMinor)
+{
+    CaptureLogSink capture;
+    bool freed_by_minor = false;
+    std::multiset<std::string> off =
+        runDroppedUnsharedTarget(false, nullptr);
+    std::multiset<std::string> on =
+        runDroppedUnsharedTarget(true, &freed_by_minor);
+    EXPECT_TRUE(freed_by_minor);
+    EXPECT_EQ(on, off);
+    ASSERT_EQ(off.size(), 1u);
+    EXPECT_EQ(off.begin()->rfind("assert-unshared|Target|", 0), 0u)
+        << *off.begin();
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,7 @@
  * socket, snapshot-history/seq agreement with the teardown metrics
  * document, published why-alive answers for named allocation sites,
  * violation-ring bounding, the metrics atomic-rename sink, and the
- * on/off differential (plain, generational, incremental) proving an
+ * on/off differential (plain, generational) proving an
  * armed endpoint is observationally inert.
  *
  * Every HTTP-level test uses the in-tree httpGet client against a
@@ -378,8 +378,7 @@ TEST(TraceFlush, ZeroIntervalNeverPeriodicallyFlushes)
 // ---------------------------------------------------------------------
 
 DiffOutcome
-runScenario(bool live, uint64_t seed, bool generational,
-            bool incremental)
+runScenario(bool live, uint64_t seed, bool generational)
 {
     RuntimeConfig config;
     config.infrastructure = true;
@@ -387,7 +386,6 @@ runScenario(bool live, uint64_t seed, bool generational,
     config.tlab = false;
     config.generational = generational;
     config.nurseryKb = 32;
-    config.incrementalAssert = incremental;
     config.observe = ObserveConfig{};
     config.observe.traceFile.clear();
     config.observe.metricsSink.clear();
@@ -400,8 +398,8 @@ TEST(LiveServerDifferential, MatchesUnarmedAcross100Seeds)
 {
     CaptureLogSink capture;
     for (uint64_t seed = 1; seed <= 100; ++seed) {
-        DiffOutcome off = runScenario(false, seed, false, false);
-        DiffOutcome on = runScenario(true, seed, false, false);
+        DiffOutcome off = runScenario(false, seed, false);
+        DiffOutcome on = runScenario(true, seed, false);
         ASSERT_TRUE(difftest::equivalent(on, off))
             << "live-endpoint divergence at seed " << seed
             << "\n--- off ---\n" << difftest::describe(off)
@@ -413,23 +411,10 @@ TEST(LiveServerDifferential, MatchesUnarmedUnderGenerationalMode)
 {
     CaptureLogSink capture;
     for (uint64_t seed = 1; seed <= 100; ++seed) {
-        DiffOutcome off = runScenario(false, seed, true, false);
-        DiffOutcome on = runScenario(true, seed, true, false);
+        DiffOutcome off = runScenario(false, seed, true);
+        DiffOutcome on = runScenario(true, seed, true);
         ASSERT_TRUE(difftest::equivalent(on, off))
             << "live-endpoint divergence (generational) at seed "
-            << seed << "\n--- off ---\n" << difftest::describe(off)
-            << "--- on ---\n" << difftest::describe(on);
-    }
-}
-
-TEST(LiveServerDifferential, MatchesUnarmedUnderIncrementalRecheck)
-{
-    CaptureLogSink capture;
-    for (uint64_t seed = 1; seed <= 100; ++seed) {
-        DiffOutcome off = runScenario(false, seed, false, true);
-        DiffOutcome on = runScenario(true, seed, false, true);
-        ASSERT_TRUE(difftest::equivalent(on, off))
-            << "live-endpoint divergence (incremental) at seed "
             << seed << "\n--- off ---\n" << difftest::describe(off)
             << "--- on ---\n" << difftest::describe(on);
     }

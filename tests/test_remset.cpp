@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the write-barrier + remembered-set subsystem: card
+ * Unit tests for the write-barrier + remembered-set subsystem: source
  * and latch bookkeeping, barrier filtering, minor-collection
  * reclamation and pinning, and the heap verifier's remset-invariant
  * check (which must catch a barrier bypass).
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "gc/remset.h"
-#include "heap/region_summary.h"
 #include "heap/verifier.h"
 #include "runtime/runtime.h"
 #include "support/logging.h"
@@ -63,41 +62,52 @@ TEST_F(RemsetTest, RecordIsIdempotentPerSource)
 {
     Object *src = matureNode("src");
     RememberedSet set;
-    EXPECT_TRUE(set.record(src, src->refSlotAddr(0)));
+    EXPECT_TRUE(set.record(src));
     EXPECT_TRUE(src->testFlag(kRememberedBit));
-    EXPECT_FALSE(set.record(src, src->refSlotAddr(1)));
+    EXPECT_FALSE(set.record(src));
     EXPECT_EQ(set.size(), 1u);
     EXPECT_EQ(set.totalRecords(), 2u);
     EXPECT_TRUE(set.contains(src));
     set.clear();
 }
 
-TEST_F(RemsetTest, RecordMarksCardsForEverySlotOfTheSource)
+TEST_F(RemsetTest, RecordCoversEverySlotOfTheSource)
 {
     // The latch suppresses the slow path for later writes from the
-    // same source, so record() must cover the whole slot array.
+    // same source, so recording the source must cover its whole slot
+    // array: the minor GC rescans every slot of a member.
     Object *src = matureNode("src");
-    RememberedSet set;
-    set.record(src, src->refSlotAddr(0));
-    for (uint32_t i = 0; i < src->numRefs(); ++i)
-        EXPECT_TRUE(set.cardMarkedFor(src->refSlotAddr(i)))
-            << "slot " << i;
-    EXPECT_GE(set.cardCount(), 1u);
-    set.clear();
+    Object *first = rt_.allocRaw(node_);
+    rt_.writeRef(src, 0, first);
+    ASSERT_TRUE(rt_.remset().contains(src));
+    ASSERT_TRUE(src->testFlag(kRememberedBit));
+    uint64_t records = rt_.remset().totalRecords();
+
+    // Latched: a write to the other slot stays on the fast path.
+    Object *second = rt_.allocRaw(node_);
+    rt_.writeRef(src, 1, second);
+    EXPECT_EQ(rt_.remset().totalRecords(), records);
+    EXPECT_EQ(rt_.remset().size(), 1u);
+
+    // Both nursery objects are reachable only through the source.
+    MinorCollectionResult result = rt_.collectMinor();
+    EXPECT_EQ(result.remsetSources, 1u);
+    EXPECT_EQ(result.promoted, 2u);
+    EXPECT_EQ(result.freedObjects, 0u);
+    EXPECT_FALSE(second->testFlag(kNurseryBit));
 }
 
 TEST_F(RemsetTest, ClearDropsEntriesAndLatches)
 {
     Object *src = matureNode("src");
     RememberedSet set;
-    set.record(src, src->refSlotAddr(0));
+    set.record(src);
     set.clear();
     EXPECT_EQ(set.size(), 0u);
-    EXPECT_EQ(set.cardCount(), 0u);
     EXPECT_FALSE(set.contains(src));
     EXPECT_FALSE(src->testFlag(kRememberedBit));
     // A fresh record works again after the clear.
-    EXPECT_TRUE(set.record(src, src->refSlotAddr(0)));
+    EXPECT_TRUE(set.record(src));
     set.clear();
 }
 
@@ -115,7 +125,6 @@ TEST_F(RemsetTest, MatureToNurseryWriteIsRecorded)
     rt_.writeRef(mature, 0, young);
     EXPECT_TRUE(rt_.remset().contains(mature));
     EXPECT_TRUE(mature->testFlag(kRememberedBit));
-    EXPECT_TRUE(rt_.remset().cardMarkedFor(mature->refSlotAddr(0)));
 
     // The latch keeps the second write out of the set.
     rt_.writeRef(mature, 1, young);
@@ -230,178 +239,6 @@ TEST_F(RemsetTest, FullCollectionPromotesWholesaleAndClearsRemset)
     EXPECT_EQ(rt_.heap().nurseryCount(), 0u);
     EXPECT_FALSE(young->testFlag(kNurseryBit));
     EXPECT_GT(rt_.gcStats().nurseryPromotedAtFullGc, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Barrier-fed dirty sets for incremental assertion re-checks
-// ---------------------------------------------------------------------
-
-TEST_F(RemsetTest, OwnerMutationEntersDirtySet)
-{
-    Object *owner = matureNode("owner");
-    Object *ownee = matureNode("ownee");
-    rt_.assertOwnedBy(owner, ownee);
-    EXPECT_TRUE(rt_.engine().dirtyOwners().empty());
-
-    rt_.writeRef(owner, 0, ownee);
-    ASSERT_EQ(rt_.engine().dirtyOwners().size(), 1u);
-    EXPECT_EQ(rt_.engine().dirtyOwners()[0], owner);
-    EXPECT_TRUE(owner->testFlag(kWriteDirtyBit));
-    // Latched: the second write does not enqueue again.
-    rt_.writeRef(owner, 1, ownee);
-    EXPECT_EQ(rt_.engine().dirtyOwners().size(), 1u);
-
-    // The next full trace consumes the dirty set and scans the
-    // mutated owner first.
-    rt_.collect();
-    EXPECT_TRUE(rt_.engine().dirtyOwners().empty());
-    EXPECT_FALSE(owner->testFlag(kWriteDirtyBit));
-    EXPECT_EQ(rt_.assertionStats().dirtyOwnersAtGc, 1u);
-    EXPECT_GT(rt_.gcStats().dirtyOwnerScans, 0u);
-}
-
-TEST_F(RemsetTest, UnsharedTargetMutationEntersDirtySet)
-{
-    Object *holder = matureNode("holder");
-    Object *target = matureNode("target");
-    rt_.assertUnshared(target);
-
-    rt_.writeRef(holder, 0, target);
-    ASSERT_EQ(rt_.engine().dirtyUnsharedTargets().size(), 1u);
-    EXPECT_EQ(rt_.engine().dirtyUnsharedTargets()[0], target);
-    EXPECT_TRUE(target->testFlag(kWriteDirtyBit));
-
-    rt_.collect();
-    EXPECT_TRUE(rt_.engine().dirtyUnsharedTargets().empty());
-    EXPECT_EQ(rt_.assertionStats().dirtyUnsharedAtGc, 1u);
-}
-
-// ---------------------------------------------------------------------
-// Card-boundary and region-summary edge cases
-// ---------------------------------------------------------------------
-
-TEST_F(RemsetTest, SlotArrayStraddlingCardBoundaryMarksEveryCard)
-{
-    // A wide object's reference slots span more than one 512-byte
-    // card; record() must mark every card the slot array touches, or
-    // the latch (one slow-path trip per source) would leave later
-    // slots' cards clean and the incremental recheck would miss
-    // their mutations.
-    TypeId wide = rt_.types().define("Wide").array().build();
-    roots_.emplace_back(rt_, rt_.allocArrayRaw(wide, 256), "wide");
-    rt_.collect(); // mature it
-    Object *src = roots_.back().get();
-    ASSERT_GE(static_cast<size_t>(src->numRefs()) * sizeof(void *),
-              2 * kCardBytes);
-
-    RememberedSet set;
-    set.record(src, src->refSlotAddr(0));
-    uint32_t last = src->numRefs() - 1;
-    EXPECT_TRUE(set.cardMarkedFor(src->refSlotAddr(0)));
-    EXPECT_TRUE(set.cardMarkedFor(src->refSlotAddr(last)));
-    // First and last slot live on different cards.
-    EXPECT_GE(set.cardCount(), 2u);
-    // forEachCard visits every marked card exactly once.
-    size_t visited = 0;
-    set.forEachCard([&](uintptr_t) { ++visited; });
-    EXPECT_EQ(visited, set.cardCount());
-    set.clear();
-}
-
-RuntimeConfig
-incrementalGenerationalConfig(uint32_t nursery_kb = 1u << 20)
-{
-    RuntimeConfig config;
-    config.infrastructure = true;
-    config.recordPaths = false;
-    config.generational = true;
-    config.nurseryKb = nursery_kb;
-    config.incrementalAssert = true;
-    return config;
-}
-
-TEST(RegionSummaryTest, RegionEmptiedBySweepSettlesToZero)
-{
-    CaptureLogSink capture;
-    RuntimeConfig config;
-    config.infrastructure = true;
-    config.recordPaths = false;
-    config.incrementalAssert = true;
-    Runtime rt(config);
-    TypeId t = rt.types().define("T").refs({"next"}).scalars(8).build();
-    rt.assertInstances(t, 1u << 20); // track: assigns a column
-
-    ASSERT_NE(rt.incrementalCache(), nullptr);
-    RegionSummaryTable &table = rt.incrementalCache()->table();
-    int column = table.columnOf(t);
-    ASSERT_GE(column, 0);
-
-    {
-        std::vector<Handle> keep;
-        for (int i = 0; i < 64; ++i)
-            keep.emplace_back(rt, rt.allocRaw(t), "keep");
-        rt.collect();
-        EXPECT_EQ(table.totalCount(static_cast<size_t>(column)), 64u);
-        EXPECT_GT(table.totalBytes(static_cast<size_t>(column)), 0u);
-    }
-    // All dropped: the sweep empties the regions; the next merge must
-    // settle the cached totals back to zero, not leave stale counts.
-    rt.collect();
-    EXPECT_EQ(table.totalCount(static_cast<size_t>(column)), 0u);
-    EXPECT_EQ(table.totalBytes(static_cast<size_t>(column)), 0u);
-    EXPECT_TRUE(rt.violations().empty());
-}
-
-TEST(RegionSummaryTest, PromotionOutOfNurseryInvalidatesItsRegion)
-{
-    CaptureLogSink capture;
-    Runtime rt(incrementalGenerationalConfig());
-    TypeId t = rt.types().define("T").refs({"next"}).scalars(8).build();
-    rt.assertInstances(t, 1u << 20);
-
-    // Settle: everything allocated so far merges once.
-    rt.collect();
-    uint64_t inval_settled = rt.assertionStats().cacheInvalidations;
-
-    // A nursery resident that survives a *minor* collection is
-    // promoted in place; the promotion must churn-dirty its region
-    // even though no reference was written, so the next full merge
-    // re-snapshots it instead of trusting the cached tally.
-    Handle keep(rt, rt.allocRaw(t), "keep");
-    ASSERT_TRUE(keep->testFlag(kNurseryBit));
-    rt.collectMinor();
-    ASSERT_FALSE(keep->testFlag(kNurseryBit)); // promoted
-
-    rt.collect();
-    EXPECT_GT(rt.assertionStats().cacheInvalidations, inval_settled);
-    // And the tally still counts the promoted object exactly once.
-    RegionSummaryTable &table = rt.incrementalCache()->table();
-    int column = table.columnOf(t);
-    ASSERT_GE(column, 0);
-    EXPECT_EQ(table.totalCount(static_cast<size_t>(column)), 1u);
-    EXPECT_TRUE(rt.violations().empty());
-}
-
-TEST(RegionSummaryTest, CleanRegionsMergeFromCacheAcrossIdleGcs)
-{
-    CaptureLogSink capture;
-    RuntimeConfig config;
-    config.infrastructure = true;
-    config.recordPaths = false;
-    config.incrementalAssert = true;
-    Runtime rt(config);
-    TypeId t = rt.types().define("T").refs({"next"}).scalars(8).build();
-    std::vector<Handle> keep;
-    for (int i = 0; i < 64; ++i)
-        keep.emplace_back(rt, rt.allocRaw(t), "keep");
-    rt.assertInstances(t, 1u << 20);
-    rt.collect(); // churned regions re-snapshot here
-
-    uint64_t hits_before = rt.assertionStats().cacheHits;
-    uint64_t inval_before = rt.assertionStats().cacheInvalidations;
-    rt.collect(); // idle: no writes, no allocation, no frees
-    EXPECT_GT(rt.assertionStats().cacheHits, hits_before);
-    EXPECT_EQ(rt.assertionStats().cacheInvalidations, inval_before);
 }
 
 // ---------------------------------------------------------------------

@@ -142,8 +142,6 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
              c.generational = true;
              c.nurseryKb = 64;
          }},
-        {"incremental",
-         [](RuntimeConfig &c) { c.incrementalAssert = true; }},
         {"parallel",
          [](RuntimeConfig &c) {
              c.markThreads = 4;
@@ -159,7 +157,6 @@ TEST(Server, CleanRunZeroViolationsAcrossKnobCombos)
          [](RuntimeConfig &c) {
              c.generational = true;
              c.nurseryKb = 64;
-             c.incrementalAssert = true;
              c.markThreads = 4;
              c.sweepThreads = 2;
              c.recordPaths = false;
