@@ -256,7 +256,17 @@ AssertionEngine::reportPending(std::vector<PendingViolation> pending)
         v.gcNumber = gcNumber_;
         v.message = std::move(pv.message);
         report(std::move(v));
+        if (pv.disarm)
+            disarmLifetime(pv.obj);
     }
+}
+
+void
+AssertionEngine::disarmLifetime(Object *obj)
+{
+    obj->clearFlag(kDeadBit);
+    obj->clearFlag(kRegionBit);
+    obj->clearFlag(kOrphanBit);
 }
 
 std::string

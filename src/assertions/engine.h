@@ -63,6 +63,9 @@ struct PendingViolation {
     AssertionKind kind = AssertionKind::Dead;
     Object *obj = nullptr;
     std::string message;
+    /** A lifetime verdict (dead, alldead, orphan) that disarms its
+     *  assertion only if it is the verdict reported for @p obj. */
+    bool disarm = false;
 };
 
 /**
@@ -165,11 +168,21 @@ class AssertionEngine {
      * first sorted into a deterministic order — object address, then
      * the sequential trace's checking order (ownee, dead, unshared)
      * — and then filtered through the same one-report-per-object
-     * gate the sequential trace uses. The resulting violation
-     * multiset is identical to a sequential collection's, modulo
-     * heap paths.
+     * gate the sequential trace uses. A surviving verdict marked
+     * disarm then clears its lifetime bits (disarmLifetime), so an
+     * assertion whose verdict lost the dedup stays armed for the
+     * next collection, as in the sequential trace. The resulting
+     * violation multiset is identical to a sequential collection's,
+     * modulo heap paths.
      */
     void reportPending(std::vector<PendingViolation> pending);
+
+    /**
+     * Clear @p obj's lifetime-assertion bits (dead, region, orphan)
+     * once its own verdict has been reported: a lifetime assertion
+     * stays armed until then.
+     */
+    static void disarmLifetime(Object *obj);
 
     /** @} */
 

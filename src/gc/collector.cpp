@@ -3,6 +3,8 @@
 #include "detectors/backgraph.h"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <thread>
 
 #include "gc/mark_deque.h"
@@ -114,17 +116,39 @@ Collector::resurrectFinalizables()
         if (!obj->marked())
             dying.emplace_back(entry.seq, obj);
     std::sort(dying.begin(), dying.end());
+    SerialMarker<kPath> m(*this, kInfra, false);
+    auto visit_edge = [this, &m](Object **slot, Object *obj) {
+        visit<kInfra>(slot, obj, m);
+    };
     for (auto &[seq, obj] : dying) {
-        markObject<kInfra>(obj);
-        // An owner's subtree was traced by the ownership phase.
-        if (!kInfra || !obj->testFlag(kOwnerBit)) {
+        // An owner's subtree was traced by the ownership phase, and an
+        // object an earlier revival reached is marked and traced.
+        uint32_t flags = obj->rawFlags();
+        if (mark<kInfra>(obj, flags, m) &&
+            (!kInfra || (flags & kOwnerBit) == 0)) {
             worklist_.push(obj);
-            p2Drain<kInfra, kPath>();
+            m.drain(visit_edge);
         }
         auto it = finalizables_.find(obj);
         pendingFinalizers_.emplace_back(obj, std::move(it->second.fn));
         finalizables_.erase(it);
     }
+    // A weak object first reached by a revival was never strongly
+    // reachable either: clear its edge if the sweep would leave it
+    // dangling.
+    clearDeadWeakEdges(m.weakRefs);
+    mergeTally(m);
+}
+
+void
+Collector::clearDeadWeakEdges(std::vector<Object *> &weak_refs)
+{
+    for (Object *weak : weak_refs) {
+        Object *target = weak->ref(0);
+        if (target && !target->marked())
+            weak->setRef(0, nullptr);
+    }
+    weak_refs.clear();
 }
 
 CollectionResult
@@ -371,27 +395,16 @@ Collector::collectImpl()
     {
         uint64_t t0 = (tr || costActive_) ? nowNanos() : 0;
         uint64_t steals_before = stats_.markSteals;
-        bool parallel = false;
+        bool parallel = !kPath && config_.markThreads > 1;
         markCost_ = AssertCostTallies{};
-        // cost_ arms the sequential checks' CostScopes for exactly
-        // this span; parallel workers tally into their own copies
-        // and merge into markCost_ after the join.
-        if (costActive_)
-            cost_ = &markCost_;
         {
             ScopedTimer t(stats_.tracePhase);
-            if constexpr (!kPath) {
-                if (config_.markThreads > 1) {
-                    parallel = true;
-                    parallelMarkPhase<kInfra>();
-                } else {
-                    rootScanPhase<kInfra, kPath>();
-                }
-            } else {
-                rootScanPhase<kInfra, kPath>();
-            }
+            std::vector<Object **> roots = rootSlots<kPath>();
+            if (parallel)
+                parallelMark<kInfra>(roots);
+            else
+                serialMark<kInfra, kPath>(roots);
         }
-        cost_ = nullptr;
         uint64_t t1 = (tr || costActive_) ? nowNanos() : 0;
         if (costActive_) {
             markCost_.setOtherFromSpan(t1 - t0);
@@ -414,14 +427,7 @@ Collector::collectImpl()
 
     // Weak-reference processing: clear weak edges whose referents
     // were not marked, before the sweep recycles them.
-    if (hasWeak_) {
-        for (Object *weak : weakRefs_) {
-            Object *target = weak->ref(0);
-            if (target && !target->marked())
-                weak->setRef(0, nullptr);
-        }
-        weakRefs_.clear();
-    }
+    clearDeadWeakEdges(weakRefs_);
 
     // Finalization: revive unreachable finalizable objects and queue
     // their finalizers for the runtime to run after this collection.
@@ -622,12 +628,208 @@ Collector::notePause(bool minor, uint64_t pauseNanos)
     engine_.report(std::move(v));
 }
 
-template <bool kInfra>
+// ---------------------------------------------------------------------
+// The mark loop: one visit, one slot scan and one copy of each check,
+// templated on the marker that runs them.
+// ---------------------------------------------------------------------
+
+/**
+ * What one marker tallies while it traces; mergeTally folds it into
+ * the collector when the marker is done, so no tally is shared while
+ * marking.
+ */
+struct Collector::MarkTally {
+    uint64_t marked = 0;
+    uint64_t owneeChecks = 0;
+    /** Marked weak-reference objects (merged into weakRefs_). */
+    std::vector<Object *> weakRefs;
+    /** Dense per-TypeId tallies: instances (kInfra), census (armed). */
+    std::vector<uint64_t> instanceCounts, instanceBytes;
+    std::vector<uint64_t> censusCounts, censusBytes;
+    /** Check-time tallies; kept only by phase-2 markers while
+     *  attribution is on (null sink = inert CostScopes). */
+    AssertCostTallies cost;
+    AssertCostTallies *costSink = nullptr;
+
+    MarkTally(const Collector &gc, bool infra, bool costing)
+    {
+        size_t types = gc.types_.size();
+        if (infra) {
+            instanceCounts.assign(types, 0);
+            instanceBytes.assign(types, 0);
+        }
+        if (gc.censusActive_) {
+            censusCounts.assign(types, 0);
+            censusBytes.assign(types, 0);
+        }
+        if (costing)
+            costSink = &cost;
+    }
+
+    /** costSink may point into this object. */
+    MarkTally(const MarkTally &) = delete;
+    MarkTally &operator=(const MarkTally &) = delete;
+};
+
+/**
+ * The serial marker: one worker on the calling thread. Plain flag
+ * writes, the tagged Worklist (whose tagged entries spell the section
+ * 2.7 path when kPath), and verdicts reported at once. No thread, no
+ * atomic read-modify-write, no termination counter.
+ */
+template <bool kPath>
+struct Collector::SerialMarker : MarkTally {
+    Collector &gc;
+
+    SerialMarker(Collector &c, bool infra, bool costing)
+        : MarkTally(c, infra, costing), gc(c)
+    {
+    }
+
+    uint32_t flags(const Object *obj) const { return obj->rawFlags(); }
+
+    /** Called only when the loaded flags were unmarked: always wins. */
+    bool
+    tryMark(Object *obj)
+    {
+        obj->setFlag(kMarkBit);
+        return true;
+    }
+
+    void push(Object *obj) { gc.worklist_.push(obj); }
+
+    /**
+     * Report with the live path, once per object per GC; a lifetime
+     * verdict then disarms its assertion.
+     */
+    void
+    report(AssertionKind kind, Object *obj, std::string message,
+           bool disarm)
+    {
+        if (gc.engine_.alreadyReported(obj))
+            return;
+        Violation v;
+        v.kind = kind;
+        v.offendingType = gc.engine_.typeNameOf(obj);
+        v.gcNumber = gc.stats_.collections;
+        v.message = std::move(message);
+        v.offendingAddress = obj;
+        if (kPath) {
+            std::vector<const Object *> path =
+                gc.paths_.buildPath(gc.worklist_, obj);
+            // Phase-1 scans attribute the path to the owner or ownee
+            // being scanned; the label is built lazily, only here, so
+            // the scan itself stays allocation-free.
+            if (gc.inOwnershipScan_) {
+                v.rootName = std::string(gc.scanKind_) + " " +
+                    gc.engine_.typeNameOf(gc.scanAnchor_) +
+                    " (ownership scan)";
+            } else {
+                v.rootName = gc.paths_.originOf(path.front());
+            }
+            v.path.reserve(path.size());
+            for (const Object *hop : path)
+                v.path.push_back(PathEntry{gc.engine_.typeNameOf(hop), hop});
+        }
+        gc.engine_.report(std::move(v));
+        if (disarm)
+            AssertionEngine::disarmLifetime(obj);
+    }
+
+    /** Pop and scan until the worklist is empty. */
+    template <class Visit>
+    void
+    drain(Visit &&visit)
+    {
+        Worklist &worklist = gc.worklist_;
+        while (!worklist.empty()) {
+            uintptr_t word = worklist.pop();
+            if (Worklist::isTagged(word))
+                continue;
+            Object *obj = Worklist::objectOf(word);
+            if (kPath)
+                worklist.pushTagged(obj);
+            gc.scan(obj, *this, visit);
+        }
+    }
+};
+
+/**
+ * One of N parallel marker threads. Everything a worker touches while
+ * tracing is either immutable for the phase (type flags, the
+ * ownership table, reaction policy, region labels), per-object-
+ * exclusive (reference slots: the CAS mark guarantees exactly one
+ * worker scans each object), accessed atomically (the object flag
+ * word, the termination counter), or lives here and is merged after
+ * the join. Verdicts are queued for AssertionEngine::reportPending,
+ * which dedups them and disarms only the lifetime assertions whose
+ * verdict survives.
+ */
+struct Collector::ParallelMarker : MarkTally {
+    std::atomic<int64_t> &pendingWork;
+    MarkDeque deque;
+    uint64_t steals = 0;
+    std::vector<PendingViolation> verdicts;
+    /** Wall-clock span of this worker's run (tracing only). */
+    uint64_t beginNs = 0;
+    uint64_t endNs = 0;
+
+    ParallelMarker(Collector &c, bool infra, bool costing)
+        : MarkTally(c, infra, costing), pendingWork(c.pendingWork_)
+    {
+    }
+
+    uint32_t flags(const Object *obj) const { return obj->rawFlagsAtomic(); }
+    bool tryMark(Object *obj) { return obj->tryMark(); }
+
+    void
+    push(Object *obj)
+    {
+        pendingWork.fetch_add(1, std::memory_order_seq_cst);
+        deque.push(obj);
+    }
+
+    /** Every encounter queues; reportPending dedups. */
+    void
+    report(AssertionKind kind, Object *obj, std::string message,
+           bool disarm)
+    {
+        verdicts.push_back({kind, obj, std::move(message), disarm});
+    }
+};
+
 void
-Collector::markObject(Object *obj)
+Collector::mergeTally(MarkTally &tally)
 {
-    obj->setFlag(kMarkBit);
-    ++markedThisGc_;
+    markedThisGc_ += tally.marked;
+    stats_.owneeChecks += tally.owneeChecks;
+    stats_.owneeChecksLastGc += tally.owneeChecks;
+    weakRefs_.insert(weakRefs_.end(), tally.weakRefs.begin(),
+                     tally.weakRefs.end());
+    if (tally.costSink)
+        markCost_.merge(tally.cost);
+    for (size_t t = 0; t < tally.censusCounts.size(); ++t) {
+        censusCounts_[t] += tally.censusCounts[t];
+        censusBytes_[t] += tally.censusBytes[t];
+    }
+    if (tally.instanceCounts.empty())
+        return;
+    for (TypeId id : types_.trackedTypes()) {
+        if (tally.instanceCounts[id] != 0 || tally.instanceBytes[id] != 0)
+            types_.bumpInstanceCountBy(id, tally.instanceCounts[id],
+                                       tally.instanceBytes[id]);
+    }
+}
+
+template <bool kInfra, class M>
+bool
+Collector::mark(Object *obj, uint32_t flags, M &m)
+{
+    // Already marked in the loaded word: skip the CAS, the same
+    // outcome as losing the mark race.
+    if ((flags & kMarkBit) != 0 || !m.tryMark(obj))
+        return false;
+    ++m.marked;
     if (kInfra) {
         // The per-object RVMClass inspection of section 2.4.1: check
         // whether the object's type is instance-tracked. The flag is
@@ -637,68 +839,38 @@ Collector::markObject(Object *obj)
         // cost and lands in the Other bucket.
         TypeId type = obj->typeId();
         if (types_.trackedFlags()[type]) {
-            CostScope cost(cost_, AssertCostKind::Instances);
-            types_.bumpInstanceCount(type, obj->sizeBytes());
+            CostScope cost(m.costSink, AssertCostKind::Instances);
+            ++m.instanceCounts[type];
+            m.instanceBytes[type] += obj->sizeBytes();
         }
     }
     // Census piggybacks on the mark win exactly as instance tracking
     // does — zero extra traversal, just a tally per newly-live object.
     if (censusActive_) [[unlikely]] {
         TypeId type = obj->typeId();
-        ++censusCounts_[type];
-        censusBytes_[type] += obj->sizeBytes();
+        ++m.censusCounts[type];
+        m.censusBytes[type] += obj->sizeBytes();
     }
+    return true;
 }
 
-template <bool kPath>
-void
-Collector::reportPathViolation(AssertionKind kind, Object *obj,
-                               const std::string &message)
-{
-    Violation v;
-    v.kind = kind;
-    v.offendingType = engine_.typeNameOf(obj);
-    v.gcNumber = stats_.collections;
-    v.message = message;
-    v.offendingAddress = obj;
-    if (kPath) {
-        std::vector<const Object *> path = paths_.buildPath(worklist_, obj);
-        // Phase-1 scans attribute the path to the owner or ownee
-        // being scanned; the label is built lazily, only here, so
-        // the scan itself stays allocation-free.
-        if (inOwnershipScan_) {
-            v.rootName = std::string(scanKind_) + " " +
-                engine_.typeNameOf(scanAnchor_) + " (ownership scan)";
-        } else {
-            v.rootName = paths_.originOf(path.front());
-        }
-        v.path.reserve(path.size());
-        for (const Object *hop : path)
-            v.path.push_back(PathEntry{engine_.typeNameOf(hop), hop});
-    }
-    engine_.report(std::move(v));
-}
-
-template <bool kPath>
+template <class M>
 bool
-Collector::deadCheck(Object **slot, Object *obj)
+Collector::deadCheck(Object **slot, Object *obj, uint32_t flags, M &m)
 {
-    if (!obj->testFlag(kDeadBit))
-        return false;
-
-    // The early-out above keeps the common no-dead-bit path free of
-    // the timing scope; only actual check work is attributed.
-    CostScope cost(cost_, AssertCostKind::Dead);
+    CostScope cost(m.costSink, AssertCostKind::Dead);
     AssertionKind kind = AssertionKind::Dead;
     std::string what = "an object that was asserted dead is reachable.";
-    if (obj->testFlag(kOrphanBit)) {
+    if (flags & kOrphanBit) {
         kind = AssertionKind::OwnedBy;
         cost.reclassify(AssertCostKind::OwnedBy);
         what = "an ownee outlived its owner (the owner was reclaimed in "
                "an earlier collection) and is still reachable.";
-    } else if (obj->testFlag(kRegionBit)) {
+    } else if (flags & kRegionBit) {
         kind = AssertionKind::AllDead;
         cost.reclassify(AssertCostKind::AllDead);
+        // Labels are written only under the runtime's exclusive lock,
+        // never while markers run.
         const std::string *label = engine_.regionLabelOf(obj);
         what = label
             ? format("an object allocated in assert-alldead region "
@@ -707,436 +879,182 @@ Collector::deadCheck(Object **slot, Object *obj)
               "reachable.";
     }
     bool force = engine_.reactions().forKind(kind) == Reaction::ForceTrue;
-
-    if (!engine_.alreadyReported(obj)) {
-        if (force)
-            what += " Forcing reclamation by nulling the reference.";
-        reportPathViolation<kPath>(kind, obj, what);
-        if (!engine_.options().stickyDeadAssertions && !force) {
-            obj->clearFlag(kDeadBit);
-            obj->clearFlag(kRegionBit);
-            obj->clearFlag(kOrphanBit);
-        }
-    }
+    if (force)
+        what += " Forcing reclamation by nulling the reference.";
+    // The assertion stays armed until this verdict is the one reported
+    // for the object; ForceTrue and sticky assertions stay armed.
+    m.report(kind, obj, std::move(what),
+             !engine_.options().stickyDeadAssertions && !force);
 
     if (force) {
         // ForceTrue: sever this incoming reference and never mark the
         // object, so the sweep reclaims it in this very collection.
+        // The slot belongs to the object this marker is scanning (or
+        // to one of its root slots), so the write is race-free.
         *slot = nullptr;
         return true;
     }
     return false;
 }
 
-template <bool kPath>
+template <class M>
 void
-Collector::unsharedCheck(Object *obj)
+Collector::unsharedCheck(Object *obj, M &m)
 {
-    if (!obj->testFlag(kUnsharedBit))
-        return;
-    CostScope cost(cost_, AssertCostKind::Unshared);
-    if (!engine_.alreadyReported(obj)) {
-        reportPathViolation<kPath>(
-            AssertionKind::Unshared, obj,
-            "an object that was asserted unshared has more than one "
-            "incoming reference (second path shown).");
-    }
+    CostScope cost(m.costSink, AssertCostKind::Unshared);
+    m.report(AssertionKind::Unshared, obj,
+             "an object that was asserted unshared has more than one "
+             "incoming reference (second path shown).",
+             false);
 }
 
-template <bool kPath>
+template <class M>
 void
-Collector::owneeCheckPhase2(Object *obj)
+Collector::owneeCheck(Object *obj, uint32_t flags, M &m)
 {
-    if (!obj->testFlag(kOwneeBit))
+    CostScope cost(m.costSink, AssertCostKind::OwnedBy);
+    ++m.owneeChecks;
+    // kOwnedBit is settled by the direct owner scans of phase 1.
+    if (flags & kOwnedBit)
         return;
-    CostScope cost(cost_, AssertCostKind::OwnedBy);
-    ++stats_.owneeChecks;
-    ++stats_.owneeChecksLastGc;
-    if (!obj->testFlag(kOwnedBit) && !engine_.alreadyReported(obj)) {
-        Object *owner = engine_.ownership().ownerOf(obj);
-        std::string owner_name =
-            owner ? engine_.typeNameOf(owner) : std::string("<unknown>");
-        reportPathViolation<kPath>(
-            AssertionKind::OwnedBy, obj,
-            format("an object asserted to be owned by a %s is reachable "
-                   "without passing through its owner.",
-                   owner_name.c_str()));
-    }
+    Object *owner = engine_.ownership().ownerOf(obj);
+    m.report(AssertionKind::OwnedBy, obj,
+             format("an object asserted to be owned by a %s is "
+                    "reachable without passing through its owner.",
+                    owner ? engine_.typeNameOf(owner).c_str()
+                          : "<unknown>"),
+             false);
 }
 
-template <bool kInfra, bool kPath>
+template <bool kInfra, class M>
 void
-Collector::p2Visit(Object **slot, Object *obj)
+Collector::visit(Object **slot, Object *obj, M &m)
 {
     // One header-word load covers every piggybacked check: the
     // assertion bits share the flag word the mark test reads anyway,
     // which is what makes the checks nearly free (paper section 2).
-    uint32_t flags = obj->rawFlags();
+    uint32_t flags = m.flags(obj);
     if (kInfra && (flags & (kOwneeBit | kDeadBit)) != 0) [[unlikely]] {
         if (flags & kOwneeBit)
-            owneeCheckPhase2<kPath>(obj);
-        if ((flags & kDeadBit) && deadCheck<kPath>(slot, obj))
+            owneeCheck(obj, flags, m);
+        if ((flags & kDeadBit) && deadCheck(slot, obj, flags, m))
             return;
     }
-    if (flags & kMarkBit) {
+    if (!mark<kInfra>(obj, flags, m)) {
+        // A second incoming reference, the condition assert-unshared
+        // detects. Racing workers may both record it; reportPending
+        // dedups to the single report the serial marker emits.
         if (kInfra && (flags & kUnsharedBit) != 0) [[unlikely]]
-            unsharedCheck<kPath>(obj);
+            unsharedCheck(obj, m);
         return;
     }
-    markObject<kInfra>(obj);
     // The ownership phase already visited every slot of an owner and
     // ran every check on those edges; scanning the owner again would
     // count each edge as a second incoming reference.
     if (kInfra && (flags & kOwnerBit) != 0) [[unlikely]]
         return;
-    worklist_.push(obj);
+    m.push(obj);
 }
 
-template <bool kInfra, bool kPath>
+template <class M, class Visit>
 void
-Collector::p2Drain()
+Collector::scan(Object *obj, M &m, Visit &&visit)
 {
-    while (!worklist_.empty()) {
-        uintptr_t word = worklist_.pop();
-        if (Worklist::isTagged(word))
-            continue;
-        Object *obj = Worklist::objectOf(word);
-        if (kPath)
-            worklist_.pushTagged(obj);
-        uint32_t n = obj->numRefs();
-        Object **slots = n ? obj->refSlotAddr(0) : nullptr;
-        uint32_t first = 0;
-        if (hasWeak_ && types_.weakFlags()[obj->typeId()]) [[unlikely]] {
-            // Slot 0 of a weak type is not traced through; remember
-            // the weak object so the edge can be cleared if its
-            // referent dies.
-            weakRefs_.push_back(obj);
-            first = 1;
-        }
-        for (uint32_t i = first; i < n; ++i) {
-            Object *child = slots[i];
-            if (child)
-                p2Visit<kInfra, kPath>(&slots[i], child);
-        }
-    }
-}
-
-template <bool kInfra, bool kPath>
-void
-Collector::rootScanPhase()
-{
-    roots_.forEach([this](RootNode &node) {
-        Object *obj = node.get();
-        if (!obj)
-            return;
-        if (kPath)
-            paths_.noteOrigin(obj, node.name());
-        p2Visit<kInfra, kPath>(node.slotAddr(), obj);
-        // Drain eagerly per root so path attribution stays exact:
-        // every tagged chain descends from the root just scanned.
-        p2Drain<kInfra, kPath>();
-    });
-    // Thread-local roots: objects pinned by the TLAB fast path until
-    // their owning mutator publishes or drops them. The world is
-    // stopped, so the rosters are stable for the whole phase.
-    mutators_.forEach([this](MutatorContext &mutator) {
-        for (Object *&slot : mutator.localRoots()) {
-            Object *obj = slot;
-            if (!obj)
-                continue;
-            if (kPath)
-                paths_.noteOrigin(obj, mutator.name() + " (local)");
-            p2Visit<kInfra, kPath>(&slot, obj);
-            p2Drain<kInfra, kPath>();
-        }
-    });
-}
-
-template <bool kPath>
-void
-Collector::ownershipPhase()
-{
-    // {ownee, owner} pairs whose subtrees are scanned after *all*
-    // owner regions (truncation queue of section 2.5.2). Completing
-    // every owner-region scan first makes ownedness independent of
-    // owner registration order.
-    std::vector<std::pair<Object *, Object *>> queue;
-
-    inOwnershipScan_ = true;
-    // Owners are scanned in registration order. Scan order is
-    // OBSERVABLE here: a region scan truncates at objects an earlier
-    // scan already marked, so which scan first encounters an
-    // overlapped ownee — and therefore which misuse/ownedby verdict
-    // fires — depends on it.
-    // An owner's tag is its position in the table: no lookup.
-    const std::vector<Object *> &owners = engine_.ownership().owners();
-    for (size_t i = 0; i < owners.size(); ++i) {
-        Object *owner = owners[i];
-        scanKind_ = "owner";
-        scanAnchor_ = owner;
-        currentOwnerTag_ = static_cast<uint32_t>(i) + 1;
-        // The owner itself is deliberately not marked: its own
-        // liveness is decided by the root scan, which does not
-        // rescan its slots (see p2Visit).
-        ownerScan<kPath>(owner, owner, queue, false);
-    }
-
-    // Scan the subtrees under queued ownees; the queue may grow as
-    // nested ownees are found. Objects reached here are live, but
-    // reaching an ownee here does NOT confer ownedness: ownedness
-    // means "reachable through the owner's own structure", which
-    // was fully computed above. This is what detects the paper's
-    // JBB leak, where a removed Order is reachable only through
-    // another Order's Customer (section 3.2.1).
-    for (size_t i = 0; i < queue.size(); ++i) {
-        auto [ownee, owner] = queue[i];
-        scanKind_ = "ownee";
-        scanAnchor_ = ownee;
-        ownerScan<kPath>(ownee, owner, queue, true);
-    }
-    inOwnershipScan_ = false;
-}
-
-template <bool kPath>
-void
-Collector::ownerScan(Object *from, Object *owner,
-                     std::vector<std::pair<Object *, Object *>> &queue,
-                     bool from_queue)
-{
-    uint32_t n = from->numRefs();
-    Object **slots = n ? from->refSlotAddr(0) : nullptr;
+    uint32_t n = obj->numRefs();
+    Object **slots = n ? obj->refSlotAddr(0) : nullptr;
     uint32_t first = 0;
-    if (hasWeak_ && types_.weakFlags()[from->typeId()]) [[unlikely]] {
-        weakRefs_.push_back(from);
+    if (hasWeak_ && types_.weakFlags()[obj->typeId()]) [[unlikely]] {
+        // Slot 0 of a weak type is not traced through; remember the
+        // weak object so the edge can be cleared if its referent
+        // dies.
+        m.weakRefs.push_back(obj);
         first = 1;
     }
     for (uint32_t i = first; i < n; ++i) {
-        Object *child = slots[i];
-        if (child)
-            p1Visit<kPath>(&slots[i], child, owner, queue, from_queue);
-    }
-    while (!worklist_.empty()) {
-        uintptr_t word = worklist_.pop();
-        if (Worklist::isTagged(word))
-            continue;
-        Object *obj = Worklist::objectOf(word);
-        if (kPath)
-            worklist_.pushTagged(obj);
-        uint32_t m = obj->numRefs();
-        Object **child_slots = m ? obj->refSlotAddr(0) : nullptr;
-        uint32_t begin = 0;
-        if (hasWeak_ && types_.weakFlags()[obj->typeId()]) [[unlikely]] {
-            weakRefs_.push_back(obj);
-            begin = 1;
-        }
-        for (uint32_t i = begin; i < m; ++i) {
-            Object *child = child_slots[i];
-            if (child)
-                p1Visit<kPath>(&child_slots[i], child, owner, queue,
-                               from_queue);
-        }
+        if (Object *child = slots[i])
+            visit(&slots[i], child);
     }
 }
 
 template <bool kPath>
-void
-Collector::p1Visit(Object **slot, Object *obj, Object *owner,
-                   std::vector<std::pair<Object *, Object *>> &queue,
-                   bool from_queue)
+std::vector<Object **>
+Collector::rootSlots()
 {
-    // Lifetime checks apply to every encounter, including objects
-    // about to be handled by the ownee/owner truncation below.
-    if (deadCheck<kPath>(slot, obj))
-        return;
-
-    // Ownee: truncate the scan and queue its subtree for later.
-    if (obj->testFlag(kOwneeBit)) {
-        ++stats_.owneeChecks;
-        ++stats_.owneeChecksLastGc;
-        bool was_marked = obj->marked();
-        if (!from_queue && obj->ownerTag() == currentOwnerTag_) {
-            // Reached through its owner's own structure: owned.
-            obj->setFlag(kOwnedBit);
-            if (!was_marked) {
-                markObject<true>(obj);
-                queue.emplace_back(obj, owner);
-            }
-            return;
+    // Registered roots, then thread-local roots: objects pinned by
+    // the TLAB fast path until their owning mutator publishes or
+    // drops them. The world is stopped, so the rosters are stable.
+    // A root object's origin is the first root naming it.
+    std::vector<Object **> slots;
+    roots_.forEach([&](RootNode &node) {
+        if (Object *obj = node.get()) {
+            if (kPath)
+                paths_.noteOrigin(obj, node.name());
+            slots.push_back(node.slotAddr());
         }
-        if (from_queue) {
-            // Reached inside an ownee subtree. An ownee that was not
-            // already owned by a direct owner scan is reachable only
-            // *around* its owner's structure: violation.
-            if (!obj->testFlag(kOwnedBit) &&
-                !engine_.alreadyReported(obj)) {
-                Object *actual = engine_.ownership().ownerOf(obj);
-                reportPathViolation<kPath>(
-                    AssertionKind::OwnedBy, obj,
-                    format("an object asserted to be owned by a %s is "
-                           "reachable without passing through its "
-                           "owner.",
-                           (actual ? engine_.typeNameOf(actual)
-                                   : std::string("<unknown>")).c_str()));
-            }
-        } else {
-            // Direct owner-region scan reached an ownee of a
-            // *different* owner: the owner regions overlap, which
-            // assert-ownedby requires to be disjoint (improper use,
-            // section 2.5.2).
-            if (!engine_.alreadyReported(obj)) {
-                Object *actual = engine_.ownership().ownerOf(obj);
-                reportPathViolation<kPath>(
-                    AssertionKind::OwnershipMisuse, obj,
-                    format("improper use of assert-ownedby: an ownee of "
-                           "a %s was reached while scanning from a %s "
-                           "(owner regions must be disjoint).",
-                           (actual ? engine_.typeNameOf(actual)
-                                   : std::string("<unknown>")).c_str(),
-                           engine_.typeNameOf(owner).c_str()));
-            }
+    });
+    mutators_.forEach([&](MutatorContext &mutator) {
+        for (Object *&slot : mutator.localRoots()) {
+            if (!slot)
+                continue;
+            if (kPath)
+                paths_.noteOrigin(slot, mutator.name() + " (local)");
+            slots.push_back(&slot);
         }
-        if (!was_marked) {
-            markObject<true>(obj);
-            Object *actual = engine_.ownership().ownerOf(obj);
-            queue.emplace_back(obj, actual ? actual : owner);
-        }
-        return;
-    }
-
-    // Another owner: mark it (conservatively keeping it live this
-    // cycle) and stop — it is scanned independently.
-    if (obj->testFlag(kOwnerBit)) {
-        if (!obj->marked())
-            markObject<true>(obj);
-        return;
-    }
-
-    if (obj->marked()) {
-        unsharedCheck<kPath>(obj);
-        return;
-    }
-
-    markObject<true>(obj);
-    worklist_.push(obj);
+    });
+    return slots;
 }
 
-// ---------------------------------------------------------------------
-// Parallel mark phase (markThreads > 1, path recording off)
-// ---------------------------------------------------------------------
-
-/**
- * Private state of one marker thread. Everything a worker touches
- * while tracing is either immutable for the phase (type flags, the
- * ownership table, reaction policy), per-object-exclusive (reference
- * slots: the CAS mark guarantees exactly one worker scans each
- * object), accessed atomically (the object flag word, the
- * termination counter), or lives here and is merged after the join.
- */
-struct Collector::MarkWorker {
-    MarkDeque deque;
-    /** Objects this worker won the mark race for. */
-    uint64_t marked = 0;
-    /** Ownee-membership checks performed. */
-    uint64_t owneeChecks = 0;
-    /** Successful steals from peers. */
-    uint64_t steals = 0;
-    /** Violations to merge-report after the join. */
-    std::vector<PendingViolation> pending;
-    /** Marked weak-reference objects (merged into weakRefs_). */
-    std::vector<Object *> weakRefs;
-    /** Dense per-type tallies, indexed by TypeId (kInfra only). */
-    std::vector<uint64_t> instanceCounts;
-    std::vector<uint64_t> instanceBytes;
-    /** Per-type census tallies (armed only when a census is active). */
-    std::vector<uint64_t> censusCounts;
-    std::vector<uint64_t> censusBytes;
-    /** Per-kind check-time tallies (armed when costActive_); merged
-     *  into markCost_ after the join like everything above. */
-    AssertCostTallies cost;
-    /** Wall-clock span of this worker's run (tracing only). */
-    uint64_t beginNs = 0;
-    uint64_t endNs = 0;
-};
+template <bool kInfra, bool kPath>
+void
+Collector::serialMark(const std::vector<Object **> &roots)
+{
+    SerialMarker<kPath> m(*this, kInfra, costActive_);
+    auto visit_edge = [this, &m](Object **slot, Object *obj) {
+        visit<kInfra>(slot, obj, m);
+    };
+    for (Object **slot : roots) {
+        visit_edge(slot, *slot);
+        // Drain eagerly per root so path attribution stays exact:
+        // every tagged chain descends from the root just scanned.
+        m.drain(visit_edge);
+    }
+    mergeTally(m);
+}
 
 template <bool kInfra>
 void
-Collector::parallelMarkPhase()
+Collector::parallelMark(const std::vector<Object **> &roots)
 {
     const size_t worker_count = config_.markThreads;
-
-    // Snapshot the root slots; workers take interleaved slices.
-    // Mutator local-root rosters count as roots too (see
-    // rootScanPhase).
-    std::vector<Object **> root_slots;
-    roots_.forEach([&](RootNode &node) {
-        if (node.get())
-            root_slots.push_back(node.slotAddr());
-    });
-    mutators_.forEach([&](MutatorContext &mutator) {
-        for (Object *&slot : mutator.localRoots())
-            if (slot)
-                root_slots.push_back(&slot);
-    });
-
-    std::vector<MarkWorker> workers(worker_count);
-    if (kInfra) {
-        for (MarkWorker &w : workers) {
-            w.instanceCounts.assign(types_.size(), 0);
-            w.instanceBytes.assign(types_.size(), 0);
-        }
-    }
-    if (censusActive_) {
-        for (MarkWorker &w : workers) {
-            w.censusCounts.assign(types_.size(), 0);
-            w.censusBytes.assign(types_.size(), 0);
-        }
-    }
+    std::deque<ParallelMarker> workers;
+    for (size_t i = 0; i < worker_count; ++i)
+        workers.emplace_back(*this, kInfra, costActive_);
 
     // One virtual token per worker: pendingWork_ cannot reach zero
     // until every worker has pushed its whole root slice, so nobody
     // mistakes a not-yet-seeded trace for a finished one.
     pendingWork_.store(static_cast<int64_t>(worker_count),
                        std::memory_order_relaxed);
-
     std::vector<std::thread> threads;
-    threads.reserve(worker_count - 1);
     for (size_t i = 1; i < worker_count; ++i)
-        threads.emplace_back([this, &workers, &root_slots, i] {
-            parWorkerRun<kInfra>(workers, i, root_slots);
+        threads.emplace_back([this, &workers, &roots, i] {
+            parallelWorker<kInfra>(workers, i, roots);
         });
-    parWorkerRun<kInfra>(workers, 0, root_slots);
+    parallelWorker<kInfra>(workers, 0, roots);
     for (std::thread &t : threads)
         t.join();
 
-    // Merge, single-threaded again: counters, weak refs, per-type
-    // tallies, and the deferred violation reports.
-    std::vector<PendingViolation> pending;
-    for (MarkWorker &w : workers) {
-        markedThisGc_ += w.marked;
-        stats_.owneeChecks += w.owneeChecks;
-        stats_.owneeChecksLastGc += w.owneeChecks;
+    std::vector<PendingViolation> verdicts;
+    TraceRecorder *tr = traceActive_ ? telemetry_->recorder() : nullptr;
+    for (size_t i = 0; i < workers.size(); ++i) {
+        ParallelMarker &w = workers[i];
+        mergeTally(w);
         stats_.markSteals += w.steals;
         stats_.maxWorklistDepth = std::max<uint64_t>(
             stats_.maxWorklistDepth, w.deque.highWater());
-        weakRefs_.insert(weakRefs_.end(), w.weakRefs.begin(),
-                         w.weakRefs.end());
-        for (PendingViolation &pv : w.pending)
-            pending.push_back(std::move(pv));
-        if (costActive_)
-            markCost_.merge(w.cost);
-        if (censusActive_) {
-            for (size_t t = 0; t < w.censusCounts.size(); ++t) {
-                censusCounts_[t] += w.censusCounts[t];
-                censusBytes_[t] += w.censusBytes[t];
-            }
-        }
-    }
-    if (traceActive_) {
-        TraceRecorder *tr = telemetry_->recorder();
-        for (size_t i = 0; i < workers.size(); ++i) {
-            const MarkWorker &w = workers[i];
-            if (w.endNs == 0)
-                continue;
+        std::move(w.verdicts.begin(), w.verdicts.end(),
+                  std::back_inserter(verdicts));
+        if (tr && w.endNs != 0) {
             JsonWriter a;
             a.beginObject()
                 .field("marked", w.marked)
@@ -1146,55 +1064,39 @@ Collector::parallelMarkPhase()
                          static_cast<uint32_t>(i + 1), a.str());
         }
     }
-    if (kInfra) {
-        for (TypeId id : types_.trackedTypes()) {
-            for (MarkWorker &w : workers) {
-                if (w.instanceCounts[id] != 0 || w.instanceBytes[id] != 0)
-                    types_.bumpInstanceCountBy(id, w.instanceCounts[id],
-                                               w.instanceBytes[id]);
-            }
-        }
-        engine_.reportPending(std::move(pending));
-    }
+    if (kInfra)
+        engine_.reportPending(std::move(verdicts));
     ++stats_.parallelMarkPhases;
 }
 
 template <bool kInfra>
 void
-Collector::parWorkerRun(std::vector<MarkWorker> &workers, size_t index,
-                        const std::vector<Object **> &root_slots)
+Collector::parallelWorker(std::deque<ParallelMarker> &workers, size_t index,
+                          const std::vector<Object **> &roots)
 {
-    MarkWorker &w = workers[index];
+    ParallelMarker &w = workers[index];
     const size_t worker_count = workers.size();
     if (traceActive_)
         w.beginNs = nowNanos();
+    auto visit_edge = [this, &w](Object **slot, Object *obj) {
+        visit<kInfra>(slot, obj, w);
+    };
 
-    for (size_t i = index; i < root_slots.size(); i += worker_count) {
-        Object **slot = root_slots[i];
-        if (Object *obj = *slot)
-            parVisit<kInfra>(slot, obj, w);
-    }
+    // Root slots are dealt out in interleaved slices.
+    for (size_t i = index; i < roots.size(); i += worker_count)
+        visit_edge(roots[i], *roots[i]);
     // Root slice fully pushed: release this worker's seed token.
     pendingWork_.fetch_sub(1, std::memory_order_seq_cst);
 
     Object *obj = nullptr;
     while (true) {
-        if (w.deque.pop(obj)) {
-            parScan<kInfra>(obj, w);
-            pendingWork_.fetch_sub(1, std::memory_order_seq_cst);
-            continue;
+        bool found = w.deque.pop(obj);
+        for (size_t k = 1; !found && k < worker_count; ++k) {
+            found = workers[(index + k) % worker_count].deque.steal(obj);
+            w.steals += found;
         }
-        bool stole = false;
-        for (size_t attempt = 1; attempt < worker_count; ++attempt) {
-            size_t victim = (index + attempt) % worker_count;
-            if (workers[victim].deque.steal(obj)) {
-                stole = true;
-                ++w.steals;
-                break;
-            }
-        }
-        if (stole) {
-            parScan<kInfra>(obj, w);
+        if (found) {
+            scan(obj, w, visit_edge);
             pendingWork_.fetch_sub(1, std::memory_order_seq_cst);
             continue;
         }
@@ -1208,133 +1110,116 @@ Collector::parWorkerRun(std::vector<MarkWorker> &workers, size_t index,
         w.endNs = nowNanos();
 }
 
-template <bool kInfra>
+template <bool kPath>
 void
-Collector::parScan(Object *obj, MarkWorker &w)
+Collector::ownershipPhase()
 {
-    uint32_t n = obj->numRefs();
-    Object **slots = n ? obj->refSlotAddr(0) : nullptr;
-    uint32_t first = 0;
-    if (hasWeak_ && types_.weakFlags()[obj->typeId()]) [[unlikely]] {
-        w.weakRefs.push_back(obj);
-        first = 1;
+    // {ownee, owner} pairs whose subtrees are scanned after *all*
+    // owner regions (truncation queue of section 2.5.2). Completing
+    // every owner-region scan first makes ownedness independent of
+    // owner registration order.
+    std::vector<std::pair<Object *, Object *>> queue;
+    SerialMarker<kPath> m(*this, true, false);
+    // from_queue is false for the direct owner-region scans (which
+    // confer ownedness), true for the deferred ownee subtree scans
+    // (which only mark liveness and report unowned ownees).
+    auto owner_scan = [&](Object *from, Object *owner, bool from_queue) {
+        auto visit_edge = [&](Object **slot, Object *obj) {
+            p1Visit(slot, obj, owner, queue, from_queue, m);
+        };
+        scan(from, m, visit_edge);
+        m.drain(visit_edge);
+    };
+
+    inOwnershipScan_ = true;
+    // Owners are scanned in registration order. Scan order is
+    // OBSERVABLE here: a region scan truncates at objects an earlier
+    // scan already marked, so which scan first encounters an
+    // overlapped ownee — and therefore which misuse/ownedby verdict
+    // fires — depends on it.
+    // An owner's tag is its position in the table: no lookup.
+    const std::vector<Object *> &owners = engine_.ownership().owners();
+    for (size_t i = 0; i < owners.size(); ++i) {
+        scanKind_ = "owner";
+        scanAnchor_ = owners[i];
+        currentOwnerTag_ = static_cast<uint32_t>(i) + 1;
+        // The owner itself is deliberately not marked: its own
+        // liveness is decided by the root scan, which does not
+        // rescan its slots (see visit).
+        owner_scan(owners[i], owners[i], false);
     }
-    for (uint32_t i = first; i < n; ++i) {
-        Object *child = slots[i];
-        if (child)
-            parVisit<kInfra>(&slots[i], child, w);
+
+    // Scan the subtrees under queued ownees; the queue may grow as
+    // nested ownees are found. Objects reached here are live, but
+    // reaching an ownee here does NOT confer ownedness: ownedness
+    // means "reachable through the owner's own structure", which
+    // was fully computed above. This is what detects the paper's
+    // JBB leak, where a removed Order is reachable only through
+    // another Order's Customer (section 3.2.1).
+    for (size_t i = 0; i < queue.size(); ++i) {
+        auto [ownee, owner] = queue[i];
+        scanKind_ = "ownee";
+        scanAnchor_ = ownee;
+        owner_scan(ownee, owner, true);
     }
+    inOwnershipScan_ = false;
+    mergeTally(m);
 }
 
-template <bool kInfra>
+template <bool kPath>
 void
-Collector::parVisit(Object **slot, Object *obj, MarkWorker &w)
+Collector::p1Visit(Object **slot, Object *obj, Object *owner,
+                   std::vector<std::pair<Object *, Object *>> &queue,
+                   bool from_queue, SerialMarker<kPath> &m)
 {
-    // Same one-flag-word economy as p2Visit, with an atomic load:
-    // marker threads mutate the word concurrently via CAS.
-    uint32_t flags = obj->rawFlagsAtomic();
-    if (kInfra && (flags & (kOwneeBit | kDeadBit)) != 0) [[unlikely]] {
-        if (flags & kOwneeBit)
-            parOwneeCheck(obj, flags, w);
-        if ((flags & kDeadBit) && parDeadCheck(slot, obj, flags, w))
-            return;
+    uint32_t flags = obj->rawFlags();
+    // Everything but the ownee/owner truncation is the phase-2 visit.
+    if ((flags & (kOwneeBit | kOwnerBit)) == 0)
+        return visit<true>(slot, obj, m);
+    // Lifetime checks apply to every encounter, including objects
+    // about to be handled by the truncation below.
+    if ((flags & kDeadBit) && deadCheck(slot, obj, flags, m))
+        return;
+    // Another owner: mark it (conservatively keeping it live this
+    // cycle) and stop — it is scanned independently.
+    if ((flags & kOwneeBit) == 0) {
+        mark<true>(obj, flags, m);
+        return;
     }
-    if (obj->tryMark()) {
-        ++w.marked;
-        if (kInfra) {
-            TypeId type = obj->typeId();
-            if (types_.trackedFlags()[type]) {
-                CostScope cost(costActive_ ? &w.cost : nullptr,
-                               AssertCostKind::Instances);
-                ++w.instanceCounts[type];
-                w.instanceBytes[type] += obj->sizeBytes();
-            }
-        }
-        if (censusActive_) [[unlikely]] {
-            TypeId type = obj->typeId();
-            ++w.censusCounts[type];
-            w.censusBytes[type] += obj->sizeBytes();
-        }
-        // Owners' slots belong to the ownership phase (see p2Visit).
-        if (kInfra && (flags & kOwnerBit) != 0) [[unlikely]]
-            return;
-        pendingWork_.fetch_add(1, std::memory_order_seq_cst);
-        w.deque.push(obj);
-    } else if (kInfra && (flags & kUnsharedBit) != 0) [[unlikely]] {
-        // The loser of the mark race is by definition a second
-        // incoming reference — the condition assert-unshared
-        // detects. Racing workers may both record it; the merge
-        // dedups to the single report the sequential trace emits.
-        CostScope cost(costActive_ ? &w.cost : nullptr,
-                       AssertCostKind::Unshared);
-        w.pending.push_back(
-            {AssertionKind::Unshared, obj,
-             "an object that was asserted unshared has more than one "
-             "incoming reference (second path shown)."});
-    }
-}
 
-void
-Collector::parOwneeCheck(Object *obj, uint32_t flags, MarkWorker &w)
-{
-    CostScope cost(costActive_ ? &w.cost : nullptr,
-                   AssertCostKind::OwnedBy);
-    ++w.owneeChecks;
-    // kOwnedBit was settled by the (sequential) ownership phase and
-    // is read-only during phase 2.
-    if ((flags & kOwnedBit) == 0) {
-        Object *owner = engine_.ownership().ownerOf(obj);
-        std::string owner_name =
-            owner ? engine_.typeNameOf(owner) : std::string("<unknown>");
-        w.pending.push_back(
-            {AssertionKind::OwnedBy, obj,
-             format("an object asserted to be owned by a %s is reachable "
-                    "without passing through its owner.",
-                    owner_name.c_str())});
+    // Ownee: truncate the scan and queue its subtree for later.
+    if (!from_queue && obj->ownerTag() == currentOwnerTag_) {
+        // Reached through its owner's own structure: owned.
+        ++m.owneeChecks;
+        obj->setFlag(kOwnedBit);
+        if (mark<true>(obj, flags, m))
+            queue.emplace_back(obj, owner);
+        return;
     }
-}
-
-bool
-Collector::parDeadCheck(Object **slot, Object *obj, uint32_t flags,
-                        MarkWorker &w)
-{
-    CostScope cost(costActive_ ? &w.cost : nullptr,
-                   AssertCostKind::Dead);
-    AssertionKind kind = AssertionKind::Dead;
-    std::string what = "an object that was asserted dead is reachable.";
-    if (flags & kOrphanBit) {
-        kind = AssertionKind::OwnedBy;
-        cost.reclassify(AssertCostKind::OwnedBy);
-        what = "an ownee outlived its owner (the owner was reclaimed in "
-               "an earlier collection) and is still reachable.";
-    } else if (flags & kRegionBit) {
-        kind = AssertionKind::AllDead;
-        cost.reclassify(AssertCostKind::AllDead);
-        // Read-only during the trace: labels are written only under
-        // the runtime's exclusive lock, never while markers run.
-        const std::string *label = engine_.regionLabelOf(obj);
-        what = label
-            ? format("an object allocated in assert-alldead region "
-                     "'%s' is reachable.", label->c_str())
-            : "an object allocated in an assert-alldead region is "
-              "reachable.";
+    if (from_queue) {
+        // Reached inside an ownee subtree. An ownee that was not
+        // already owned by a direct owner scan is reachable only
+        // *around* its owner's structure: violation.
+        owneeCheck(obj, flags, m);
+    } else {
+        // Direct owner-region scan reached an ownee of a *different*
+        // owner: the owner regions overlap, which assert-ownedby
+        // requires to be disjoint (improper use, section 2.5.2).
+        ++m.owneeChecks;
+        Object *actual = engine_.ownership().ownerOf(obj);
+        m.report(AssertionKind::OwnershipMisuse, obj,
+                 format("improper use of assert-ownedby: an ownee of a "
+                        "%s was reached while scanning from a %s (owner "
+                        "regions must be disjoint).",
+                        actual ? engine_.typeNameOf(actual).c_str()
+                               : "<unknown>",
+                        engine_.typeNameOf(owner).c_str()),
+                 false);
     }
-    bool force = engine_.reactions().forKind(kind) == Reaction::ForceTrue;
-    if (force)
-        what += " Forcing reclamation by nulling the reference.";
-    w.pending.push_back({kind, obj, std::move(what)});
-    if (!engine_.options().stickyDeadAssertions && !force)
-        obj->clearFlagsAtomic(kDeadBit | kRegionBit | kOrphanBit);
-
-    if (force) {
-        // The slot belongs to the object this worker is scanning
-        // (or to one of its root-slice RootNodes), so the write is
-        // data-race-free; every incoming edge gets severed by
-        // whichever worker traverses it, as in the sequential trace.
-        *slot = nullptr;
-        return true;
+    if (mark<true>(obj, flags, m)) {
+        Object *actual = engine_.ownership().ownerOf(obj);
+        queue.emplace_back(obj, actual ? actual : owner);
     }
-    return false;
 }
 
 // Explicit instantiations for the three configurations collect()

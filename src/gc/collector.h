@@ -8,17 +8,22 @@
  *  1. *Ownership phase* (only when assert-ownedby pairs exist): trace
  *     from each owner without marking the owner itself, truncating
  *     at ownees (which are queued and scanned afterwards) and at
- *     other owners (section 2.5.2).
- *  2. *Root scan / trace*: standard DFS from the registered roots.
- *     With the assertion infrastructure enabled, every visit also
- *     checks the dead bit, the unshared bit (on re-encounter), the
- *     ownee/owned bits, and tallies instance counts. With path
- *     recording enabled, scanned objects are re-pushed onto the
- *     worklist with their low-order bit set so the tagged entries
- *     always spell the root-to-current path (section 2.7). With
- *     markThreads > 1 (and path recording off) this phase instead
- *     runs N marker threads over work-stealing deques; see
- *     CollectorConfig::markThreads.
+ *     other owners (section 2.5.2). Runs on the serial marker.
+ *  2. *Root scan / trace*: DFS from the registered roots. With the
+ *     assertion infrastructure enabled, every visit also checks the
+ *     dead bit, the unshared bit (on re-encounter), the ownee/owned
+ *     bits, and tallies instance counts. There is one visit, one
+ *     slot scan and one copy of each check, run by one of two
+ *     marker types. The serial marker (markThreads <= 1, or path
+ *     recording on) traces on the calling thread with plain flag
+ *     writes and the tagged worklist: with path recording, scanned
+ *     objects are re-pushed with their low-order bit set so the
+ *     tagged entries always spell the root-to-current path (section
+ *     2.7), and verdicts are reported at once. The parallel marker
+ *     (markThreads > 1) runs N threads with CAS mark bits over
+ *     work-stealing deques and queues verdicts for one merged
+ *     report after the join. Finalizer resurrection, after the
+ *     trace, also runs on the serial marker.
  *  3. *Finish*: instance-limit checks, region-queue pruning and
  *     ownership-table pruning (while mark bits are still valid).
  *  4. *Sweep*: reclaim unmarked objects and clear mark bits.
@@ -32,6 +37,7 @@
 #define GCASSERT_GC_COLLECTOR_H
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -70,16 +76,16 @@ struct CollectorConfig {
     bool recordPaths = true;
 
     /**
-     * Marker threads for the trace phase; 1 (or 0) keeps the
-     * original sequential DFS. With N > 1, phase 2 runs N workers,
-     * each owning a work-stealing MarkDeque, with atomic
-     * test-and-set mark bits so every object is scanned exactly
-     * once. Assertion checks move onto the CAS-mark path (the loser
+     * Marker threads for the trace phase; 1 (or 0) runs the serial
+     * marker on the calling thread. With N > 1, phase 2 runs N
+     * parallel markers, each owning a work-stealing MarkDeque, with
+     * atomic test-and-set mark bits so every object is scanned
+     * exactly once. Both run the same visit and checks (the loser
      * of a mark race is a second incoming reference — exactly what
-     * assert-unshared detects); per-class instance tallies become
-     * per-worker and merge in the finish phase. Path recording is
-     * inherently sequential, so recordPaths = true forces a
-     * single-threaded trace with a logged downgrade.
+     * assert-unshared detects); tallies are per marker and merge
+     * after the trace. Path recording is inherently sequential, so
+     * recordPaths = true forces the serial marker with a logged
+     * downgrade.
      */
     uint32_t markThreads = 1;
 
@@ -251,7 +257,7 @@ class Collector {
     template <bool kInfra, bool kPath>
     CollectionResult collectImpl();
 
-    /** Phase 1: trace from owners. */
+    /** Phase 1: trace from owners (serial marker). */
     template <bool kPath>
     void ownershipPhase();
 
@@ -261,99 +267,80 @@ class Collector {
     /** Drain the worklist with minor-trace semantics. */
     void mnDrain();
 
-    /**
-     * Scan the subtree under @p from on behalf of @p owner.
+    /** @name The mark loop
      *
-     * @param from_queue False for the direct owner-region scans
-     *        (which confer ownedness), true for the deferred ownee
-     *        subtree scans (which only mark liveness and report
-     *        unowned ownees).
-     */
-    template <bool kPath>
-    void ownerScan(Object *from, Object *owner,
-                   std::vector<std::pair<Object *, Object *>> &queue,
-                   bool from_queue);
-
-    /** Phase-1 edge visit (owner-region semantics). */
-    template <bool kPath>
-    void p1Visit(Object **slot, Object *obj, Object *owner,
-                 std::vector<std::pair<Object *, Object *>> &queue,
-                 bool from_queue);
-
-    /** Phase 2: root scan and full trace. */
-    template <bool kInfra, bool kPath>
-    void rootScanPhase();
-
-    /** Phase-2 edge visit (normal trace semantics). */
-    template <bool kInfra, bool kPath>
-    void p2Visit(Object **slot, Object *obj);
-
-    /** Drain the worklist with phase-2 semantics. */
-    template <bool kInfra, bool kPath>
-    void p2Drain();
-
-    /** @name Parallel mark phase (markThreads > 1, no path recording)
+     * One visit, one slot scan and one copy of each check, templated
+     * on the marker M that runs them: SerialMarker (the calling
+     * thread, tagged Worklist, verdicts reported at once) or
+     * ParallelMarker (one of N threads, CAS mark bits, work-stealing
+     * MarkDeque, verdicts queued for reportPending). Defined in
+     * collector.cpp.
      *  @{ */
 
-    /** Per-marker-thread state; defined in collector.cpp. */
-    struct MarkWorker;
+    struct MarkTally;
+    template <bool kPath>
+    struct SerialMarker;
+    struct ParallelMarker;
 
-    /** Phase 2, parallel: fan out over N workers and merge. */
-    template <bool kInfra>
-    void parallelMarkPhase();
-
-    /** One worker: visit its root slice, then drain/steal to empty. */
-    template <bool kInfra>
-    void parWorkerRun(std::vector<MarkWorker> &workers, size_t index,
-                      const std::vector<Object **> &root_slots);
-
-    /** Scan one gray object's reference slots. */
-    template <bool kInfra>
-    void parScan(Object *obj, MarkWorker &worker);
-
-    /** Parallel edge visit: piggybacked checks + CAS mark. */
-    template <bool kInfra>
-    void parVisit(Object **slot, Object *obj, MarkWorker &worker);
-
-    /** Ownee check against the phase-1 owned bits (read-only). */
-    void parOwneeCheck(Object *obj, uint32_t flags, MarkWorker &worker);
+    /** Fold a finished marker's tallies into the collector. */
+    void mergeTally(MarkTally &tally);
 
     /**
-     * Dead-bit check on the parallel path.
-     * @return true when the visit must stop (ForceTrue nulled the
-     *         reference).
+     * Claim the mark bit of @p obj (loaded flag word @p flags) and
+     * tally it.
+     * @return false when it was marked already or another worker won.
      */
-    bool parDeadCheck(Object **slot, Object *obj, uint32_t flags,
-                      MarkWorker &worker);
+    template <bool kInfra, class M>
+    bool mark(Object *obj, uint32_t flags, M &m);
 
-    /** @} */
+    /** Phase-2 edge visit: the piggybacked checks, then mark and push. */
+    template <bool kInfra, class M>
+    void visit(Object **slot, Object *obj, M &m);
 
-    /** Mark @p obj and tally instance counts when kInfra. */
-    template <bool kInfra>
-    void markObject(Object *obj);
+    /** Note a weak slot 0, then @p visit every other non-null slot. */
+    template <class M, class Visit>
+    void scan(Object *obj, M &m, Visit &&visit);
 
     /**
      * Check the dead bit on an encounter.
      * @return true when the visit must stop because the reference
      *         was nulled by the ForceTrue reaction.
      */
-    template <bool kPath>
-    bool deadCheck(Object **slot, Object *obj);
+    template <class M>
+    bool deadCheck(Object **slot, Object *obj, uint32_t flags, M &m);
 
     /** Check the unshared bit on a re-encounter. */
-    template <bool kPath>
-    void unsharedCheck(Object *obj);
+    template <class M>
+    void unsharedCheck(Object *obj, M &m);
 
-    /**
-     * Phase-2 ownee check.
-     */
-    template <bool kPath>
-    void owneeCheckPhase2(Object *obj);
+    /** Check an ownee against its phase-1 owned bit. */
+    template <class M>
+    void owneeCheck(Object *obj, uint32_t flags, M &m);
 
-    /** Build and report a violation for @p obj with the live path. */
+    /** Phase-1 edge visit (owner-region semantics). */
     template <bool kPath>
-    void reportPathViolation(AssertionKind kind, Object *obj,
-                             const std::string &message);
+    void p1Visit(Object **slot, Object *obj, Object *owner,
+                 std::vector<std::pair<Object *, Object *>> &queue,
+                 bool from_queue, SerialMarker<kPath> &m);
+
+    /** Non-null root slots: registered roots, then mutator locals. */
+    template <bool kPath>
+    std::vector<Object **> rootSlots();
+
+    /** Phase 2 on the serial marker (one worker, or recordPaths). */
+    template <bool kInfra, bool kPath>
+    void serialMark(const std::vector<Object **> &roots);
+
+    /** Phase 2 on markThreads parallel markers. */
+    template <bool kInfra>
+    void parallelMark(const std::vector<Object **> &roots);
+
+    /** One worker: visit its root slice, then drain/steal to empty. */
+    template <bool kInfra>
+    void parallelWorker(std::deque<ParallelMarker> &workers, size_t index,
+                        const std::vector<Object **> &roots);
+
+    /** @} */
 
     Heap &heap_;
     TypeRegistry &types_;
@@ -381,9 +368,13 @@ class Collector {
     /** Marked weak-reference objects awaiting edge clearing. */
     std::vector<Object *> weakRefs_;
 
-    /** Resurrect dead finalizable objects; returns resurrected count. */
+    /** Resurrect dead finalizable objects. */
     template <bool kInfra, bool kPath>
     void resurrectFinalizables();
+
+    /** Null the weak edges of @p weak_refs to unmarked referents,
+     *  then empty the list. */
+    void clearDeadWeakEdges(std::vector<Object *> &weak_refs);
 
     /** @name Telemetry (all inert when telemetry_ is null)
      *  @{ */
@@ -399,8 +390,7 @@ class Collector {
     /** One-shot on-demand census request (requestCensus). */
     bool censusRequested_ = false;
     /** Dense per-TypeId census tallies for the current full GC
-     *  (single-threaded marking; parallel workers tally privately
-     *  and merge after the join). */
+     *  (each marker tallies privately; mergeTally folds them in). */
     std::vector<uint64_t> censusCounts_;
     std::vector<uint64_t> censusBytes_;
 
@@ -411,15 +401,9 @@ class Collector {
 
     /** True while the current GC attributes per-check cost. */
     bool costActive_ = false;
-    /** Mark-phase tallies for the current GC (sequential trace;
-     *  parallel workers tally privately and merge after the join —
-     *  the census pattern). */
+    /** Mark-phase tallies for the current GC, merged from the
+     *  phase-2 markers (the census pattern). */
     AssertCostTallies markCost_;
-    /** Points at markCost_ only inside the phase-2 mark span (null
-     *  during phase 1 and resurrection, so checks outside the span
-     *  never inflate mark attribution); CostScopes are inert on
-     *  null. */
-    AssertCostTallies *cost_ = nullptr;
 
     /**
      * Feed a completed pause to the SLO tracker and, over budget,

@@ -2,10 +2,10 @@
  * @file
  * Per-worker mark deque for the parallel trace phase.
  *
- * Split out of Worklist: the sequential collector keeps its tagged
- * LIFO stack (path recording needs the whole stack to spell a
- * root-to-object path, which is inherently single-threaded); the
- * parallel mark phase instead gives each marker thread one of these
+ * The collector has one mark loop and two marker types. The serial
+ * marker keeps the tagged LIFO Worklist (path recording needs the
+ * whole stack to spell a root-to-object path, which is inherently
+ * single-threaded); each parallel marker instead owns one of these
  * Chase-Lev work-stealing deques. The owner pushes and pops at the
  * bottom (depth-first, cache-friendly), idle workers steal from the
  * top (oldest entries, which tend to root the largest subtrees).

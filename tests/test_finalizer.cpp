@@ -171,6 +171,30 @@ TEST_F(FinalizerTest, WeakRefClearedBeforeFinalizerRuns)
         << "weak edges clear before finalization (Java ordering)";
 }
 
+TEST_F(FinalizerTest, WeakRefReachedOnlyByRevivalDoesNotDangle)
+{
+    // f -> w ~> t, all unreachable, only f finalizable. Reviving f
+    // marks w but not t, which the sweep reclaims, so w's weak edge
+    // must be cleared as well.
+    TypeId weak_type = runtime_->types()
+                           .define("WeakRef")
+                           .refs({"referent"})
+                           .weak()
+                           .build();
+    Object *f = node(1);
+    Object *w = runtime_->allocRaw(weak_type);
+    Object *t = node(2);
+    f->setRef(0, w);
+    w->setRef(0, t);
+    Object *referent_at_finalize = t;
+    runtime_->setFinalizer(f, [&](Object *o) {
+        referent_at_finalize = o->ref(0)->ref(0);
+    });
+    runtime_->collect();
+    EXPECT_FALSE(alive(t));
+    EXPECT_EQ(referent_at_finalize, nullptr);
+}
+
 TEST_F(FinalizerTest, AssertDeadOnFinalizableObject)
 {
     // assert-dead is not falsely triggered by the resurrection trace
@@ -191,6 +215,27 @@ TEST_F(FinalizerTest, AssertDeadOnFinalizableObject)
     ASSERT_EQ(violations().size(), 1u)
         << "the resurrected object is genuinely reachable now";
     EXPECT_EQ(violations()[0].kind, AssertionKind::Dead);
+}
+
+TEST_F(FinalizerTest, RevivalReachingAnotherFinalizableMarksItOnce)
+{
+    // a -> b -> c, all unreachable, a and b finalizable. Reviving a
+    // marks b and c, so b's own revival must neither count b again
+    // nor rescan it: a rescan would take c's one incoming reference
+    // for a second one.
+    int runs = 0;
+    Object *a = node(1);
+    Object *b = node(2);
+    Object *c = node(3);
+    a->setRef(0, b);
+    b->setRef(0, c);
+    runtime_->setFinalizer(a, [&](Object *) { ++runs; });
+    runtime_->setFinalizer(b, [&](Object *) { ++runs; });
+    runtime_->assertUnshared(c);
+    CollectionResult result = runtime_->collect();
+    EXPECT_EQ(result.marked, 3u);
+    EXPECT_TRUE(violations().empty());
+    EXPECT_EQ(runs, 2);
 }
 
 TEST_F(FinalizerTest, ManyFinalizablesInOneCollection)

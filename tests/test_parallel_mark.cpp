@@ -12,7 +12,8 @@
  * and garbage regions, plus a spread of assert-dead / assert-unshared
  * / assert-ownedby / assert-instances / assert-alldead seedings) from
  * a deterministic seed, runs one runtime per thread count, and
- * compares the outcomes over 100+ seeds.
+ * compares the outcomes over 100+ seeds, with the default reactions,
+ * with ForceTrue, and with sticky dead assertions.
  *
  * Addresses differ between runtimes, so outcomes are compared via
  * address-free keys (violation kind + offending type + message +
@@ -43,15 +44,26 @@ using difftest::DiffOutcome;
  * runs with the same seed build isomorphic heaps and issue identical
  * assertion sequences regardless of where objects land.
  */
+/** Reaction settings a differential configuration arms. */
+struct Reactions {
+    /** ForceTrue on every forcible kind (dead, alldead). */
+    bool forceTrue = false;
+    /** EngineOptions::stickyDeadAssertions. */
+    bool sticky = false;
+};
+
 DiffOutcome
-runScenario(uint32_t mark_threads, uint64_t seed)
+runScenario(uint32_t mark_threads, uint64_t seed, Reactions reactions = {})
 {
     RuntimeConfig config;
     config.generational = false; // harness holds unrooted raw pointers
     config.infrastructure = true;
     config.recordPaths = false;
     config.markThreads = mark_threads;
+    config.engine.stickyDeadAssertions = reactions.sticky;
     Runtime rt(config);
+    if (reactions.forceTrue)
+        rt.engine().reactions().setAll(Reaction::ForceTrue);
 
     TypeId node_type = rt.types()
                            .define("Node")
@@ -156,14 +168,16 @@ runScenario(uint32_t mark_threads, uint64_t seed)
     return out;
 }
 
-TEST(ParallelMarkDifferential, MatchesSequentialAcrossSeedsAndThreads)
+/** Compare 2/4/8 markers against one over @p seeds seeds. */
+void
+expectMatchesSequential(uint64_t seeds, Reactions reactions = {})
 {
     CaptureLogSink capture; // violation warnings stay off stderr
     const uint32_t thread_counts[] = {2, 4, 8};
-    for (uint64_t seed = 1; seed <= 104; ++seed) {
-        DiffOutcome sequential = runScenario(1, seed);
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        DiffOutcome sequential = runScenario(1, seed, reactions);
         for (uint32_t threads : thread_counts) {
-            DiffOutcome parallel = runScenario(threads, seed);
+            DiffOutcome parallel = runScenario(threads, seed, reactions);
             ASSERT_TRUE(difftest::equivalent(parallel, sequential))
                 << "divergence at seed " << seed << " with " << threads
                 << " marker threads\n--- sequential ---\n"
@@ -171,6 +185,59 @@ TEST(ParallelMarkDifferential, MatchesSequentialAcrossSeedsAndThreads)
                 << "--- parallel ---\n"
                 << difftest::describe(parallel);
         }
+    }
+}
+
+TEST(ParallelMarkDifferential, MatchesSequentialAcrossSeedsAndThreads)
+{
+    expectMatchesSequential(104);
+}
+
+TEST(ParallelMarkDifferential, ForceTrueMatchesSequential)
+{
+    // ForceTrue nulls every traversed edge into a forced object, in
+    // root slots and in scanned objects alike, so the heap left for
+    // the second collection must not depend on the marker count.
+    expectMatchesSequential(104, Reactions{.forceTrue = true});
+}
+
+TEST(ParallelMarkDifferential, StickyDeadAssertionsMatchSequential)
+{
+    expectMatchesSequential(104, Reactions{.sticky = true});
+}
+
+TEST(ParallelMarkTest, LifetimeAssertionStaysArmedUntilItsOwnVerdict)
+{
+    // An ownee that is also asserted dead. GC 1 reaches it only
+    // around its owner: the ownedby verdict takes the object's one
+    // report of the GC, so the dead assertion must stay armed. GC 2
+    // reaches it only through its owner, and the ownership phase
+    // reports it dead. No marker count may lose the second verdict.
+    CaptureLogSink capture;
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+        RuntimeConfig config;
+        config.generational = false; // raw pointer held across GCs
+        config.recordPaths = false;
+        config.markThreads = threads;
+        Runtime rt(config);
+        TypeId node = rt.types().define("Node").refs({"next"}).build();
+        Handle owner(rt, rt.allocRaw(node), "owner");
+        Handle other(rt, rt.allocRaw(node), "other");
+        Object *ownee = rt.allocRaw(node);
+        other->setRef(0, ownee);
+        rt.assertOwnedBy(owner.get(), ownee);
+        rt.assertDead(ownee);
+        rt.collect();
+        other->setRef(0, nullptr);
+        owner->setRef(0, ownee);
+        rt.collect();
+
+        const ViolationLog &v = rt.violations();
+        ASSERT_EQ(v.size(), 2u) << "threads=" << threads;
+        EXPECT_EQ(v[0].kind, AssertionKind::OwnedBy) << "threads=" << threads;
+        EXPECT_EQ(v[0].gcNumber, 1u) << "threads=" << threads;
+        EXPECT_EQ(v[1].kind, AssertionKind::Dead) << "threads=" << threads;
+        EXPECT_EQ(v[1].gcNumber, 2u) << "threads=" << threads;
     }
 }
 
